@@ -35,7 +35,7 @@ for i in range(d - 1):
 # Dotting columns with all-ones initial labels recovers the sequence
 # mod d, from its very first term.
 header = arr.header()
-stream = [int(r) for r in seq_stream(d, d, len(header))]
+stream = seq_stream(d, d, len(header))
 assert header == stream
 print("column sums:", " ".join(str(v) for v in header))
 print("sequence   :", " ".join(str(v) for v in stream))

@@ -10,12 +10,10 @@ partial-fraction closed form of the sequence.
 """
 from .cycles import (
     CycleReport,
-    Factorization,
     ScanFailure,
     cycle_length,
     cycle_length_direct,
     cycle_report_direct,
-    induced_shift,
     predicted_cycle,
     scan,
     scan_csv,
@@ -60,9 +58,8 @@ from .network import (
     verify_swap,
 )
 from .seqcore import (
+    Factorization,
     PascalTable,
-    Residue,
-    SequenceWindow,
     binom_exact,
     binom_mod,
     exact_sequence,

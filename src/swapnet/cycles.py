@@ -14,45 +14,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import InconclusiveError, InvalidPrimeError, VerificationError
-from .seqcore import first_window_return, is_prime
+from .errors import InconclusiveError, VerificationError
+from .seqcore import Factorization, _check_prime, first_window_return
 
 DEFAULT_STEP_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "SWAPNET_BUDGET"
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization n = p1^m1 * ... * pr^mr, primes increasing."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, n: int) -> "Factorization":
-        if n < 2:
-            raise ValueError(f"cannot factorize {n}: need n >= 2")
-        left = n
-        factors = []
-        p = 2
-        while p * p <= left:
-            if left % p == 0:
-                e = 0
-                while left % p == 0:
-                    left //= p
-                    e += 1
-                factors.append((p, e))
-            p += 1 if p == 2 else 2
-        if left > 1:
-            factors.append((left, 1))
-        return cls(n, tuple(factors))
-
-    def prime_powers(self) -> list[int]:
-        return [p ** e for p, e in self.factors]
-
-    @property
-    def is_prime_power(self) -> bool:
-        return len(self.factors) == 1
 
 
 def predicted_cycle(p: int, m: int) -> int:
@@ -61,8 +27,7 @@ def predicted_cycle(p: int, m: int) -> int:
     For m = 1 this is the proven p^2 - 1; for m > 1 it is the value the
     brute-force checks confirm instance by instance.
     """
-    if not is_prime(p):
-        raise InvalidPrimeError(f"p must be prime, got {p}")
+    _check_prime(p)
     if m < 1:
         raise ValueError("m must be >= 1")
     return p ** (m - 1) * (p ** (2 * m) - 1)
@@ -73,16 +38,24 @@ def default_budget(order: int, modulus: int) -> int:
 
     Twice the predicted period when the order equals a prime-power
     modulus; otherwise the SWAPNET_BUDGET environment value or 10^8.
+    An empty SWAPNET_BUDGET counts as unset; any other value that is not
+    a positive integer raises ValueError.
     """
     if order == modulus:
         f = Factorization.of(modulus)
         if f.is_prime_power:
             p, m = f.factors[0]
             return 2 * predicted_cycle(p, m)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_STEP_BUDGET
+    env = os.environ.get(BUDGET_ENV_VAR, "")
+    if not env:
+        return DEFAULT_STEP_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {env!r}")
+    return value
 
 
 def cycle_length_direct(d: int, m: int, budget: int) -> int:
@@ -209,22 +182,20 @@ def verify_conjecture(p: int, m: int, budget: int | None = None) -> bool:
     return steps == expected and all(v == 0 for v in tail)
 
 
-def induced_shift(d: int, budget: int | None = None) -> tuple[int, tuple[int, ...]]:
-    """Shift (period mod d) and the system permutation it induces."""
-    report = cycle_length(d, budget)
-    return report.shift, report.permutation
-
-
 def scan(max_n: int, budget: int | None = None, jobs: int = 1) -> list[CycleReport | ScanFailure]:
     """Reports for every dimension 2..max_n, in dimension order.
 
     Budget exhaustion for one dimension yields a ScanFailure entry and
     never aborts the rest.  ``jobs`` > 1 distributes dimensions across
-    worker processes; each dimension is computed sequentially.
+    worker processes, at most one per dimension and per CPU; each
+    dimension is computed sequentially.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     dims = list(range(2, max_n + 1))
-    if jobs > 1 and len(dims) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(dims), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_scan_one, dims, [budget] * len(dims)))
     else:
         raw = [_scan_one(n, budget) for n in dims]

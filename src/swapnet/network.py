@@ -173,13 +173,24 @@ def trace_array(d: int, T: int) -> TraceArray:
     return TraceArray(d, tuple(cols))
 
 
+def _check_size(d: int, n: int) -> None:
+    """Refuse more than OPERATOR_SIZE_LIMIT basis states before allocating them."""
+    _check_modulus(d)
+    # with d >= 2, any n beyond the limit's bit length exceeds it; this
+    # keeps d ** n from being evaluated for an absurd system count
+    if n > OPERATOR_SIZE_LIMIT.bit_length() or d ** n > OPERATOR_SIZE_LIMIT:
+        raise SizeBudgetError(
+            f"{n} systems of dimension {d} exceed the {OPERATOR_SIZE_LIMIT} basis-state limit"
+        )
+
+
 class StateVector:
     """Complex amplitudes over the d^n computational basis, unit norm."""
 
     __slots__ = ("d", "n", "amplitudes")
 
     def __init__(self, d: int, n: int, amplitudes):
-        _check_modulus(d)
+        _check_size(d, n)
         if n < 1:
             raise ValueError("need at least one system")
         amps = np.asarray(amplitudes, dtype=np.complex128)
@@ -195,6 +206,7 @@ class StateVector:
     @classmethod
     def basis(cls, d: int, n: int, digits) -> "StateVector":
         """Computational basis state from a digit sequence or string."""
+        _check_size(d, n)
         if isinstance(digits, str):
             digits = [int(ch) for ch in digits]
         digits = list(digits)
@@ -208,6 +220,9 @@ class StateVector:
     def product(cls, d: int, factors) -> "StateVector":
         """Tensor product of per-system amplitude vectors (each unit norm)."""
         parts = [np.asarray(f, dtype=np.complex128) for f in factors]
+        if any(f.shape != (d,) for f in parts):
+            raise ValueError(f"each factor needs {d} amplitudes")
+        _check_size(d, len(parts))
         amps = np.ones(1, dtype=np.complex128)
         for f in parts:
             amps = np.kron(amps, f)
@@ -216,6 +231,7 @@ class StateVector:
     @classmethod
     def random(cls, d: int, n: int, seed: int) -> "StateVector":
         """Reproducible Haar-ish random state from a seed."""
+        _check_size(d, n)
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal(d ** n) + 1j * rng.standard_normal(d ** n)
         return cls(d, n, amps / np.linalg.norm(amps))
@@ -274,19 +290,15 @@ def simulate(circuit: Circuit, state: StateVector) -> StateVector:
 def full_operator(circuit: Circuit) -> np.ndarray:
     """The whole circuit as one forward basis permutation.
 
-    ``perm[i]`` is the basis index that ``|i>`` is sent to.  Refuses
+    ``perm[i]`` is the basis index that ``|i>`` is sent to: the digits
+    of i, mapped through the circuit's linear map over Z_d.  Refuses
     sizes beyond the in-memory budget of 10^6 basis states.
     """
-    size = circuit.d ** circuit.n_systems
-    if size > OPERATOR_SIZE_LIMIT:
-        raise SizeBudgetError(
-            f"operator over {size} basis states exceeds the {OPERATOR_SIZE_LIMIT} limit"
-        )
-    perm = np.arange(size, dtype=np.int64)
-    for g in circuit.gates:
-        fwd = _gate_map(circuit.d, circuit.n_systems, g)
-        perm = fwd[perm]
-    return perm
+    d, n = circuit.d, circuit.n_systems
+    _check_size(d, n)
+    digits = np.indices((d,) * n).reshape(n, d ** n)
+    images = (linear_map(circuit).matrix @ digits) % d
+    return np.ravel_multi_index(tuple(images), (d,) * n)
 
 
 def permutation_matrix_text(perm: np.ndarray) -> str:
@@ -380,6 +392,12 @@ def parse_circuit(text: str) -> Circuit:
         import json
 
         doc = json.loads(text)
+        if not (isinstance(doc.get("d"), int) and isinstance(doc.get("systems"), int)
+                and isinstance(doc.get("gates"), list)):
+            raise SwapnetError("circuit JSON needs integers 'd' and 'systems' and a 'gates' list")
+        for g in doc["gates"]:
+            if not (isinstance(g, list) and len(g) == 2 and all(isinstance(v, int) for v in g)):
+                raise SwapnetError(f"malformed gate: {g!r}")
         gates = tuple(Gate(c, t) for c, t in doc["gates"])
         return Circuit(doc["d"], doc["systems"], gates)
     lines = [ln for ln in text.splitlines() if ln.strip()]

@@ -34,63 +34,43 @@ def _check_order(d: int) -> None:
         raise ValueError(f"sequence order must be an integer >= 2, got {d!r}")
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale inputs."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+@dataclass(frozen=True)
+class Factorization:
+    """Prime factorization n = p1^m1 * ... * pr^mr, primes increasing."""
 
-
-class Residue:
-    """A value reduced into Z_m, tagged with its modulus.
-
-    Residues compare equal to plain integers by reduced value, so test
-    expectations can be written as ordinary ints.
-    """
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        _check_modulus(modulus)
-        if not 0 <= value < modulus:
-            raise ValueError(f"value {value} not in [0, {modulus})")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Residue is immutable")
+    n: int
+    factors: tuple[tuple[int, int], ...]
 
     @classmethod
-    def reduce(cls, value: int, modulus: int) -> "Residue":
-        _check_modulus(modulus)
-        return cls(value % modulus, modulus)
+    def of(cls, n: int) -> "Factorization":
+        if n < 2:
+            raise ValueError(f"cannot factorize {n}: need n >= 2")
+        left = n
+        factors = []
+        p = 2
+        while p * p <= left:
+            if left % p == 0:
+                e = 0
+                while left % p == 0:
+                    left //= p
+                    e += 1
+                factors.append((p, e))
+            p += 1 if p == 2 else 2
+        if left > 1:
+            factors.append((left, 1))
+        return cls(n, tuple(factors))
 
-    def __int__(self) -> int:
-        return self.value
+    def prime_powers(self) -> list[int]:
+        return [p ** e for p, e in self.factors]
 
-    __index__ = __int__
+    @property
+    def is_prime_power(self) -> bool:
+        return len(self.factors) == 1
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Residue):
-            return self.value == other.value and self.modulus == other.modulus
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"Residue({self.value}, mod {self.modulus})"
+def _check_prime(p: int) -> None:
+    if p < 2 or Factorization.of(p).factors != ((p, 1),):
+        raise InvalidPrimeError(f"p must be prime, got {p}")
 
 
 class PascalTable:
@@ -124,9 +104,6 @@ class PascalTable:
             return 0
         return self.rows[n][k]
 
-    def residue(self, n: int, k: int) -> Residue:
-        return Residue(self.binom(n, k), self.modulus)
-
 
 def binom_exact(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k); 0 outside the triangle."""
@@ -135,7 +112,23 @@ def binom_exact(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def binom_mod(n: int, k: int, m: int) -> Residue:
+def _pascal_column(k: int, m: int, n_max: int) -> list[int]:
+    """C(n, k) mod m for n = k .. n_max, from one rolling row prefix.
+
+    Keeps only columns 0..k of the current Pascal row, so the cost is
+    O(n_max * k) time and O(k) memory besides the returned column.
+    """
+    row = [1] + [0] * k
+    col = []
+    for n in range(n_max + 1):
+        for c in range(min(n, k), 0, -1):
+            row[c] = (row[c] + row[c - 1]) % m
+        if n >= k:
+            col.append(row[k])
+    return col
+
+
+def binom_mod(n: int, k: int, m: int) -> int:
     """C(n, k) mod m without constructing the exact integer.
 
     Runs a one-dimensional Pascal recurrence over min(k, n-k) columns,
@@ -143,14 +136,8 @@ def binom_mod(n: int, k: int, m: int) -> Residue:
     """
     _check_modulus(m)
     if k < 0 or k > n:
-        return Residue(0, m)
-    k = min(k, n - k)
-    row = [0] * (k + 1)
-    row[0] = 1
-    for i in range(1, n + 1):
-        for c in range(min(i, k), 0, -1):
-            row[c] = (row[c] + row[c - 1]) % m
-    return Residue(row[k] % m, m)
+        return 0
+    return _pascal_column(min(k, n - k), m, n)[-1]
 
 
 def term_exact(j: int, d: int) -> int:
@@ -203,68 +190,28 @@ def exact_sequence(d: int, count: int) -> list[int]:
     return terms
 
 
-class SequenceWindow:
-    """Rolling window of the last d sequence terms reduced mod m.
-
-    Starts on the all-ones initial window (terms 0..d-1) and advances
-    one term at a time; advancing is inherently sequential.
-    """
-
-    __slots__ = ("order", "modulus", "_buf", "_pos", "t")
-
-    def __init__(self, order: int, modulus: int):
-        _check_order(order)
-        _check_modulus(modulus)
-        self.order = order
-        self.modulus = modulus
-        self._buf = [1] * order
-        self._pos = 0  # index of the oldest term in the buffer
-        self.t = order - 1
-
-    def advance(self) -> int:
-        """Compute the next term, slide the window, return the new value."""
-        buf = self._buf
-        pos = self._pos
-        new = (buf[pos - 1] + buf[pos]) % self.modulus
-        buf[pos] = new
-        self._pos = pos + 1 if pos + 1 < self.order else 0
-        self.t += 1
-        return new
-
-    def window(self) -> tuple[int, ...]:
-        """Terms t-d+1 .. t, oldest first."""
-        return tuple(self._buf[self._pos:] + self._buf[:self._pos])
-
-    def is_all_ones(self) -> bool:
-        return all(v == 1 for v in self._buf)
-
-
-def term_mod(j: int, d: int, m: int) -> Residue:
+def term_mod(j: int, d: int, m: int) -> int:
     """term_exact(j, d) mod m, computed by the modular recurrence."""
     _check_order(d)
     _check_modulus(m)
     if j < 0:
         raise ValueError("j must be >= 0")
-    if j < d:
-        return Residue(1, m)
-    w = SequenceWindow(d, m)
-    for _ in range(j - d + 1):
-        v = w.advance()
-    return Residue(v, m)
+    buf = [1] * d  # buf[t % d] holds term t for the last d values of t
+    for t in range(d, j + 1):
+        buf[t % d] = (buf[(t - 1) % d] + buf[t % d]) % m
+    return buf[j % d]
 
 
-def seq_stream(d: int, m: int, count: int) -> list[Residue]:
-    """First ``count`` terms mod m as residues, oldest first."""
+def seq_stream(d: int, m: int, count: int) -> list[int]:
+    """First ``count`` terms mod m, oldest first."""
     _check_order(d)
     _check_modulus(m)
     if count < 0:
         raise ValueError("count must be >= 0")
     vals = [1] * min(d, count)
-    if count > d:
-        w = SequenceWindow(d, m)
-        for _ in range(count - d):
-            vals.append(w.advance())
-    return [Residue(v, m) for v in vals]
+    for j in range(d, count):
+        vals.append((vals[j - 1] + vals[j - d]) % m)
+    return vals
 
 
 def first_window_return(order: int, modulus: int, budget: int) -> tuple[int | None, tuple[int, ...] | None]:
@@ -325,7 +272,7 @@ def hockey_stick_check(j: int, k: int) -> bool:
     return lhs == binom_exact(j + k + 1, k)
 
 
-def prime_binomial_residue(p: int, j: int) -> Residue:
+def prime_binomial_residue(p: int, j: int) -> int:
     """C(p+j, p-1) mod p, verified against its residue pattern.
 
     For j >= 0 the value is 1 exactly when j = p-1 (mod p) and 0
@@ -334,18 +281,17 @@ def prime_binomial_residue(p: int, j: int) -> Residue:
     mod p; it is accepted and logged rather than asserted, since the
     boundary is only pinned down by direct computation.
     """
-    if not is_prime(p):
-        raise InvalidPrimeError(f"p must be prime, got {p}")
+    _check_prime(p)
     if j < -1:
         raise ValueError("j must be >= -1")
     res = binom_mod(p + j, p - 1, p)
     if j == -1:
-        log.info("prime_binomial_residue(p=%d, j=-1) = %d (boundary case, not asserted)", p, res.value)
+        log.info("prime_binomial_residue(p=%d, j=-1) = %d (boundary case, not asserted)", p, res)
         return res
     expected = 1 if j % p == p - 1 else 0
-    if res.value != expected:
+    if res != expected:
         raise VerificationError(
-            f"C({p}+{j}, {p}-1) mod {p} = {res.value}, expected {expected}"
+            f"C({p}+{j}, {p}-1) mod {p} = {res}, expected {expected}"
         )
     return res
 
@@ -358,8 +304,7 @@ def lu_tsai_period(p: int, a: int, k: int, search_horizon: int) -> int:
     Needs ``search_horizon`` of at least three predicted periods so the
     detected value is forced to be the true one.
     """
-    if not is_prime(p):
-        raise InvalidPrimeError(f"p must be prime, got {p}")
+    _check_prime(p)
     if a < 1 or k < 1:
         raise ValueError("a and k must be >= 1")
     e = 0
@@ -371,16 +316,7 @@ def lu_tsai_period(p: int, a: int, k: int, search_horizon: int) -> int:
             f"search_horizon {search_horizon} < 3 * p^(a+e) = {3 * predicted}",
             steps=0,
         )
-    mod = p ** a
-    # Column k of Pascal's triangle mod p^a via a rolling row prefix.
-    row = [0] * (k + 1)
-    row[0] = 1
-    vals = []
-    for n in range(1, k + search_horizon + 1):
-        for c in range(min(n, k), 0, -1):
-            row[c] = (row[c] + row[c - 1]) % mod
-        if n >= k:
-            vals.append(row[k])
+    vals = _pascal_column(k, p ** a, k + search_horizon)
     limit = len(vals) // 2
     for period in range(1, limit + 1):
         if vals[period:] == vals[:-period]:

@@ -83,6 +83,12 @@ class TestScan:
         assert code == 0
         assert [e["length"] for e in json.loads(out)] == [3, 8, 30, 24, 6552]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "scan", "--max", "4", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert "usage error" in err and "jobs" in err
+
     def test_partial_failure_exit_3(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--max", "6", "--budget", "10")
         assert code == 3
@@ -146,6 +152,25 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "xyz")
         assert code == 1
         assert "state spec" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"d":3,"systems":3}',
+        '{"d":3,"systems":3,"gates":5}',
+        '{"d":3,"systems":3,"gates":[[0,1,2]]}',
+    ])
+    def test_bad_json_schema_exit_1(self, capsys, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "000")
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_state_size_budget_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("DIM 10 SYSTEMS 7\nCNOT 0 1\n")
+        code, _, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "0" * 7)
+        assert code == 1
+        assert "limit" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--circuit", "/nonexistent", "--state", "00")
@@ -230,6 +255,13 @@ class TestHarness:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == SEQ_D4
+
+    @pytest.mark.parametrize("value", ["abc", "1e3", "0"])
+    def test_env_budget_invalid_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SWAPNET_BUDGET", value)
+        code, out, err = run_cli(capsys, "cycle", "--d", "10")
+        assert code == 2 and out == ""
+        assert "SWAPNET_BUDGET" in err
 
     def test_env_budget_default(self, child_env):
         proc = subprocess.run(

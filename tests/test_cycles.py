@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swapnet import cycles
 from swapnet.errors import InconclusiveError, InvalidPrimeError
 from swapnet.cycles import (
     CycleReport,
@@ -15,7 +16,6 @@ from swapnet.cycles import (
     cycle_length,
     cycle_length_direct,
     cycle_report_direct,
-    induced_shift,
     predicted_cycle,
     scan,
     scan_csv,
@@ -163,25 +163,26 @@ class TestVerifyConjecture:
 
 
 class TestInducedShift:
+    """Shift and system permutation carried by the cycle report."""
+
     def test_d3_full_cycle(self):
-        shift, perm = induced_shift(3)
-        assert shift == 2
-        assert perm == (2, 0, 1)  # state of system i moves to system i-1
+        report = cycle_length(3)
+        assert report.shift == 2
+        assert report.permutation == (2, 0, 1)  # state of system i moves to system i-1
 
     def test_d4_transpositions(self):
-        shift, perm = induced_shift(4)
-        assert shift == 2
-        assert perm == (2, 3, 0, 1)
+        report = cycle_length(4)
+        assert report.shift == 2
+        assert report.permutation == (2, 3, 0, 1)
 
     def test_d6_identity(self):
-        shift, perm = induced_shift(6)
-        assert shift == 0
-        assert perm == (0, 1, 2, 3, 4, 5)
+        report = cycle_length(6)
+        assert report.shift == 0
+        assert report.permutation == (0, 1, 2, 3, 4, 5)
 
     def test_prime_shift_is_minus_one(self):
         for d in (2, 3, 5, 7, 11, 13):
-            shift, _ = induced_shift(d)
-            assert shift == d - 1
+            assert cycle_length(d).shift == d - 1
 
 
 class TestScan:
@@ -203,6 +204,39 @@ class TestScan:
 
     def test_parallel_matches_serial(self):
         assert scan(8, jobs=4) == scan(8)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            scan(4, jobs=jobs)
+
+    @pytest.mark.parametrize("max_n,jobs,cpus,workers", [
+        (9, 10 ** 6, 4, 4),     # capped by the CPU count
+        (9, 3, 4, 3),           # the requested number fits
+        (3, 10 ** 6, 4, 2),     # capped by the two dimensions 2 and 3
+        (9, 10 ** 6, None, 0),  # unknown CPU count: serial, no pool
+    ])
+    def test_worker_count_is_clamped(self, monkeypatch, max_n, jobs, cpus, workers):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cycles, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cycles.os, "cpu_count", lambda: cpus)
+        entries = scan(max_n, jobs=jobs)
+        assert started == ([workers] if workers else [])
+        assert [e.d for e in entries] == list(range(2, max_n + 1))
 
     def test_inconclusive_marker(self):
         entries = scan(7, budget=10)
@@ -230,6 +264,18 @@ class TestDefaultBudget:
         assert default_budget(6, 2) == 12345
         # an existing prediction is not overridden by the env default
         assert default_budget(9, 9) == 480
+
+    def test_env_empty_counts_as_unset(self, monkeypatch):
+        from swapnet.cycles import DEFAULT_STEP_BUDGET, default_budget
+        monkeypatch.setenv("SWAPNET_BUDGET", "")
+        assert default_budget(6, 2) == DEFAULT_STEP_BUDGET
+
+    @pytest.mark.parametrize("value", ["abc", "1e3", "0", "-5", " "])
+    def test_env_invalid_names_the_variable(self, monkeypatch, value):
+        from swapnet.cycles import default_budget
+        monkeypatch.setenv("SWAPNET_BUDGET", value)
+        with pytest.raises(ValueError, match="SWAPNET_BUDGET"):
+            default_budget(6, 2)
 
 
 def test_report_json_schema():

@@ -1,11 +1,13 @@
 """Tests for circuits, linear maps, trace arrays, and simulation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapnet.errors import SizeBudgetError, SwapnetError
-from swapnet.cycles import cycle_length, induced_shift
+from swapnet.cycles import cycle_length
 from swapnet.network import (
     Circuit,
     Gate,
@@ -141,6 +143,25 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(2, 1, [1.0, 1.0])
 
+    def test_size_budget_before_allocation(self):
+        # 10^7 amplitudes would take 160 MB; every constructor refuses first
+        tracemalloc.start()
+        try:
+            for make in (lambda: StateVector.basis(10, 7, "0" * 7),
+                         lambda: StateVector.random(10, 7, seed=0),
+                         lambda: StateVector.product(10, [np.eye(10)[0]] * 7),
+                         lambda: StateVector(10, 7, [1.0]),
+                         lambda: StateVector.basis(2, 10 ** 9, "0")):
+                with pytest.raises(SizeBudgetError):
+                    make()
+            with pytest.raises(ValueError):  # factors longer than d
+                StateVector.product(2, [np.ones(1000) / 1000 ** 0.5] * 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+        assert StateVector.basis(10, 6, "0" * 6).amplitudes.size == 10 ** 6
+
     def test_random_is_reproducible(self):
         a = StateVector.random(3, 2, seed=7)
         b = StateVector.random(3, 2, seed=7)
@@ -247,6 +268,17 @@ class TestFullOperator:
         with pytest.raises(SizeBudgetError):
             full_operator(Circuit(10, 7))
 
+    @given(st.integers(2, 4), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_gate_by_gate_simulation(self, d, n, data):
+        pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+        picks = data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+        circuit = Circuit(d, n, tuple(Gate(c, t) for c, t in picks))
+        perm = full_operator(circuit)
+        for index in range(d ** n):
+            out = simulate(circuit, StateVector.basis(d, n, digits_of_index(d, n, index)))
+            assert out.amplitudes[perm[index]] == 1.0
+
     def test_dense_rendering(self):
         text = permutation_matrix_text(full_operator(Circuit(2, 1 + 1)))
         assert text == "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
@@ -284,7 +316,7 @@ class TestVerifySwap:
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_shift_matches_cycle_module(self, d):
-        assert verify_swap(d).shift == induced_shift(d)[0]
+        assert verify_swap(d).shift == cycle_length(d).shift
 
     def test_partial_cycle_is_other(self):
         # half a cycle of the qutrit network is not a digit permutation
@@ -309,6 +341,15 @@ class TestSerialization:
     def test_round_trip(self, fmt):
         for circuit in (build_cyclic_network(3, 8), Circuit(5, 5), build_cyclic_network(2, 3)):
             assert parse_circuit(export_circuit(circuit, fmt)) == circuit
+
+    @pytest.mark.parametrize("text", [
+        '{"d":3,"systems":3}',
+        '{"d":3,"systems":3,"gates":5}',
+        '{"d":3,"systems":3,"gates":[[0,1,2]]}',
+    ])
+    def test_parse_rejects_bad_json_schema(self, text):
+        with pytest.raises(SwapnetError):
+            parse_circuit(text)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(SwapnetError):

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swapnet.cycles import predicted_cycle
 from swapnet.errors import InconclusiveError, InvalidModulusError, InvalidPrimeError
-from swapnet import seqcore
 from swapnet.seqcore import (
+    Factorization,
     PascalTable,
-    Residue,
-    SequenceWindow,
     binom_exact,
     binom_mod,
     exact_sequence,
@@ -47,23 +46,6 @@ SEQ_D4_26 = [1, 1, 1, 1, 2, 3, 4, 5, 7, 10, 14, 19, 26, 36, 50, 69, 95,
              131, 181, 250, 345, 476, 657, 907, 1252, 1728]
 SEQ_D8_26 = [1] * 8 + [2, 3, 4, 5, 6, 7, 8, 9, 11, 14, 18, 23, 29, 36,
              44, 53, 64, 78]
-
-
-class TestResidue:
-    def test_int_equality(self):
-        assert Residue(2, 5) == 2
-        assert Residue(2, 5) != 3
-        assert int(Residue(4, 7)) == 4
-
-    def test_reduce(self):
-        assert Residue.reduce(10, 3) == 1
-        assert Residue.reduce(-1, 5) == 4
-
-    def test_invalid(self):
-        with pytest.raises(InvalidModulusError):
-            Residue(0, 1)
-        with pytest.raises(ValueError):
-            Residue(5, 5)
 
 
 class TestBinomials:
@@ -113,7 +95,7 @@ class TestPascalTable:
         table = PascalTable(5, 10)
         assert table.binom(4, 7) == 0
         assert table.binom(4, -1) == 0
-        assert table.residue(3, 2).modulus == 5
+        assert table.binom(3, 2) == 3
 
 
 class TestSequenceRoutes:
@@ -162,6 +144,14 @@ class TestSequenceRoutes:
             terms = exact_sequence(d, 200)
             assert all(terms[j] > terms[j - 1] for j in range(d, 200))
 
+    def test_modular_routes_return_plain_ints(self):
+        assert type(term_mod(25, 4, 4)) is int
+        assert type(term_mod(2, 4, 4)) is int
+        assert all(type(v) is int for v in seq_stream(4, 4, 26))
+        assert type(binom_mod(6, 3, 4)) is int
+        assert type(binom_mod(3, 7, 4)) is int
+        assert type(prime_binomial_residue(5, 4)) is int
+
     @given(
         st.integers(2, 10),
         st.integers(0, 300),
@@ -175,18 +165,7 @@ class TestSequenceRoutes:
 
 
 class TestSequenceWindow:
-    def test_initial_window(self):
-        w = SequenceWindow(4, 7)
-        assert w.window() == (1, 1, 1, 1)
-        assert w.is_all_ones()
-        assert w.t == 3
-
-    def test_advance_matches_stream(self):
-        w = SequenceWindow(3, 5)
-        got = [w.advance() for _ in range(20)]
-        expected = [int(r) for r in seq_stream(3, 5, 23)[3:]]
-        assert got == expected
-        assert w.window() == tuple(expected[-3:])
+    """The d-term window that first_window_return advances."""
 
     def test_first_return_small_cases(self):
         assert first_window_return(2, 2, 10)[0] == 3
@@ -275,9 +254,16 @@ class TestLuTsaiPeriod:
 
 
 def test_is_prime():
+    def is_prime(n):
+        return Factorization.of(n).factors == ((n, 1),)
+
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(2, 32):
-        assert seqcore.is_prime(n) == (n in primes)
-    assert not seqcore.is_prime(1)
-    assert not seqcore.is_prime(7919 * 7927)
-    assert seqcore.is_prime(7919)
+        assert is_prime(n) == (n in primes)
+    assert not is_prime(7919 * 7927)
+    assert is_prime(7919)
+    for p in (0, 1, 4, 7919 * 7927):
+        with pytest.raises(InvalidPrimeError):
+            prime_binomial_residue(p, 0)
+    with pytest.raises(InvalidPrimeError):
+        predicted_cycle(1, 1)
