@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import cycles, genfun, network, seqcore
-from .errors import InconclusiveError, SwapnetError
+from .errors import InconclusiveError, SizeBudgetError, SwapnetError
 
 
 def _fmt(x: float) -> str:
@@ -27,10 +27,6 @@ def _fmt_complex(z: complex) -> str:
 
 def _emit_json(doc) -> None:
     print(json.dumps(doc, separators=(",", ":")))
-
-
-def _budget(args) -> int | None:
-    return getattr(args, "budget", None)
 
 
 def cmd_seq(args) -> int:
@@ -51,7 +47,7 @@ def cmd_seq(args) -> int:
 
 
 def cmd_cycle(args) -> int:
-    report = cycles.cycle_length(args.d, _budget(args))
+    report = cycles.cycle_length(args.d, args.budget)
     if args.json:
         _emit_json(report.to_dict())
     else:
@@ -65,7 +61,7 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    entries = cycles.scan(args.max, _budget(args), jobs=args.jobs)
+    entries = cycles.scan(args.max, args.budget, jobs=args.jobs)
     if args.json:
         _emit_json([e.to_dict() for e in entries])
     elif args.csv:
@@ -84,7 +80,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_swap(args) -> int:
-    verdict = network.verify_swap(args.d, _budget(args))
+    verdict = network.verify_swap(args.d, args.budget)
     if args.json:
         _emit_json({
             "d": args.d,
@@ -99,6 +95,10 @@ def cmd_swap(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    # d rows of T + d coefficients each, refused before any is built
+    if args.d * (args.steps + args.d) > network.TRACE_LIMIT:
+        raise SizeBudgetError(f"{args.d} rows of {args.steps + args.d} coefficients "
+                              f"exceed the {network.TRACE_LIMIT} trace limit")
     arr = network.trace_array(args.d, args.steps)
     if args.json:
         _emit_json({

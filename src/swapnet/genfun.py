@@ -73,13 +73,7 @@ def find_roots(poly: Polynomial, tol: float = ROOT_TOL, max_iter: int = ROOT_MAX
         raise ValueError("degree must be >= 1")
     lc = poly.coefficients[-1]
     monic = tuple(c / lc for c in poly.coefficients)
-
-    def ev(z: complex) -> complex:
-        acc = 0j
-        for c in reversed(monic):
-            acc = acc * z + c
-        return acc
-
+    ev = Polynomial(monic).evaluate
     if n == 1:
         return [-monic[0]]
 

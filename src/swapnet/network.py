@@ -14,6 +14,7 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import SizeBudgetError, SwapnetError
 from .seqcore import _check_modulus
 
 OPERATOR_SIZE_LIMIT = 10 ** 6
+TRACE_LIMIT = 10 ** 7
 NORM_TOL = 1e-12
 
 
@@ -127,10 +129,12 @@ class TraceArray:
     column with the initial-digit vector yields that system's state.
     Columns at t <= 0 are the unit vectors of the initial preparation;
     later columns obey column(t) = column(t-1) + column(t-d) mod d.
+    Row i is row 0 delayed by i steps, so only row 0 is stored, from
+    t = -2(d-1) to T: ``row0[k]`` is its entry at t = k - 2(d-1).
     """
 
     d: int
-    columns: tuple[tuple[int, ...], ...]
+    row0: tuple[int, ...]
 
     @property
     def t_start(self) -> int:
@@ -138,14 +142,15 @@ class TraceArray:
 
     @property
     def t_end(self) -> int:
-        return self.t_start + len(self.columns) - 1
+        return len(self.row0) - 2 * self.d + 1
 
     def column(self, t: int) -> tuple[int, ...]:
-        return self.columns[t - self.t_start]
+        k = t + 2 * (self.d - 1)
+        return tuple(self.row0[k - i] for i in range(self.d))
 
     def row(self, i: int) -> list[int]:
         """Coefficient sequence of initial digit i across all columns."""
-        return [col[i] for col in self.columns]
+        return list(self.row0[self.d - 1 - i:len(self.row0) - i])
 
     def header(self, exponents=None) -> list[int]:
         """Scalar sequence obtained by dotting columns with initial digits.
@@ -154,23 +159,33 @@ class TraceArray:
         binomial summation sequence mod d, starting at its term 0.
         """
         e = tuple(exponents) if exponents is not None else (1,) * self.d
-        return [sum(ei * ci for ei, ci in zip(e, col)) % self.d for col in self.columns]
+        columns = zip(*(self.row(i) for i in range(self.d)))
+        return [sum(ei * ci for ei, ci in zip(e, col)) % self.d for col in columns]
+
+    def linear_map(self) -> LinearMapZd:
+        """The network's linear map after T gates, read off the columns.
+
+        Gate t (counting from 1) updates system t mod d, so system s
+        holds the column of its last update, t = T - (T - s) mod d.
+        """
+        T = self.t_end
+        cols = [self.column(T - (T - s) % self.d) for s in range(self.d)]
+        return LinearMapZd(self.d, np.array(cols, dtype=np.int64))
 
 
 def trace_array(d: int, T: int) -> TraceArray:
-    """Columns for t = -(d-1) .. T of the dimension-d construction."""
+    """Row 0 for t = -2(d-1) .. T of the dimension-d construction."""
     _check_modulus(d)
     if T < 0:
         raise ValueError("T must be >= 0")
-    cols: list[tuple[int, ...]] = []
-    for t in range(-(d - 1), 1):
-        unit = [0] * d
-        unit[t % d] = 1
-        cols.append(tuple(unit))
-    for t in range(1, T + 1):
-        prev, old = cols[-1], cols[-d]
-        cols.append(tuple((a + b) % d for a, b in zip(prev, old)))
-    return TraceArray(d, tuple(cols))
+    if T + 2 * d - 1 > TRACE_LIMIT:
+        raise SizeBudgetError(f"{T + 2 * d - 1} trace coefficients exceed the {TRACE_LIMIT} limit")
+    # the unit columns at t <= 0 put ones in row 0 at t = -d and t = 0
+    row0 = [0] * (2 * d - 1)
+    row0[d - 2] = row0[-1] = 1
+    for _ in range(T):
+        row0.append((row0[-1] + row0[-d]) % d)
+    return TraceArray(d, tuple(row0))
 
 
 def _check_size(d: int, n: int) -> None:
@@ -341,10 +356,9 @@ class SwapVerdict:
 
 
 def verify_swap(d: int, budget: int | None = None) -> SwapVerdict:
-    """Build one full cycle of the network and classify its linear map."""
+    """Classify the linear map of one full cycle, read off its trace row."""
     report = cycles.cycle_length(d, budget)
-    circuit = build_cyclic_network(d, report.length)
-    mapping = linear_map(circuit)
+    mapping = trace_array(d, report.length).linear_map()
     shift = mapping.cyclic_shift()
     if shift is None:
         sigma = mapping.permutation()
@@ -370,8 +384,6 @@ def verify_swap(d: int, budget: int | None = None) -> SwapVerdict:
 def export_circuit(circuit: Circuit, format: str = "gatelist") -> str:
     """Serialize deterministically as JSON or as a line-per-gate list."""
     if format == "json":
-        import json
-
         doc = {
             "d": circuit.d,
             "systems": circuit.n_systems,
@@ -386,31 +398,29 @@ def export_circuit(circuit: Circuit, format: str = "gatelist") -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Read back either serialization produced by export_circuit."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        import json
-
-        doc = json.loads(text)
-        if not (isinstance(doc.get("d"), int) and isinstance(doc.get("systems"), int)
-                and isinstance(doc.get("gates"), list)):
-            raise SwapnetError("circuit JSON needs integers 'd' and 'systems' and a 'gates' list")
-        for g in doc["gates"]:
-            if not (isinstance(g, list) and len(g) == 2 and all(isinstance(v, int) for v in g)):
-                raise SwapnetError(f"malformed gate: {g!r}")
-        gates = tuple(Gate(c, t) for c, t in doc["gates"])
-        return Circuit(doc["d"], doc["systems"], gates)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("DIM "):
-        raise SwapnetError("gatelist must start with a 'DIM <d> SYSTEMS <n>' header")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "DIM" or head[2] != "SYSTEMS":
-        raise SwapnetError(f"malformed header: {lines[0]!r}")
-    d, n = int(head[1]), int(head[3])
-    gates = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3 or parts[0] != "CNOT":
-            raise SwapnetError(f"malformed gate line: {ln!r}")
-        gates.append(Gate(int(parts[1]), int(parts[2])))
-    return Circuit(d, n, tuple(gates))
+    """Read back either serialization of export_circuit; any fault raises SwapnetError."""
+    try:
+        if text.lstrip().startswith("{"):
+            doc = json.loads(text)
+            if not (isinstance(doc.get("d"), int) and isinstance(doc.get("systems"), int)
+                    and isinstance(doc.get("gates"), list)):
+                raise SwapnetError("circuit JSON needs integers 'd' and 'systems' and a 'gates' list")
+            for g in doc["gates"]:
+                if not (isinstance(g, list) and len(g) == 2 and all(isinstance(v, int) for v in g)):
+                    raise SwapnetError(f"malformed gate: {g!r}")
+            gates = tuple(Gate(c, t) for c, t in doc["gates"])
+            return Circuit(doc["d"], doc["systems"], gates)
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        head = lines[0].split() if lines else []
+        if len(head) != 4 or head[0] != "DIM" or head[2] != "SYSTEMS":
+            raise SwapnetError("gatelist must start with a 'DIM <d> SYSTEMS <n>' header")
+        d, n = int(head[1]), int(head[3])
+        gates = []
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 3 or parts[0] != "CNOT":
+                raise SwapnetError(f"malformed gate line: {ln!r}")
+            gates.append(Gate(int(parts[1]), int(parts[2])))
+        return Circuit(d, n, tuple(gates))
+    except ValueError as exc:  # bad integers, and what Gate and Circuit refuse
+        raise SwapnetError(f"bad circuit: {exc}") from exc

@@ -234,23 +234,17 @@ def first_window_return(order: int, modulus: int, budget: int) -> tuple[int | No
     ring = [1] * size  # ring[t % size] holds term t over the last 2d indices
     idx = d - 1        # position of the newest term
     prev = 1
-    pos = 0            # position (mod d) of term t-d+1 within the live window
     run = d            # length of the current suffix run of ones
-    win = [1] * d      # live window buffer, indexed by pos
     step = 0
     while step < budget:
         step += 1
-        old = win[pos]
-        new = prev + old
-        if new >= m:
-            new -= m
-        win[pos] = new
-        pos += 1
-        if pos == d:
-            pos = 0
         idx += 1
         if idx == size:
             idx = 0
+        # term t-d sits d slots behind the new one; a negative index wraps
+        new = prev + ring[idx - d]
+        if new >= m:
+            new -= m
         ring[idx] = new
         prev = new
         if new == 1:

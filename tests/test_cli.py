@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -111,6 +112,35 @@ class TestSwap:
         doc = json.loads(out)
         assert doc["kind"] == "grouped" and doc["shift"] == 4 and doc["gates"] == 252
 
+    def test_d12_identity(self, capsys):
+        code, out, _ = run_cli(capsys, "swap", "--d", "12")
+        assert code == 0
+        assert out == "IDENTITY: shift 0, 4270560 gates\n"
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("argv", [
+        ["swap", "--d", "10"],
+        ["trace", "--d", "5", "--steps", "100000000"],
+    ])
+    def test_beyond_trace_limit_exit_1(self, child_env, argv):
+        proc = subprocess.run([sys.executable, "-m", "swapnet", *argv],
+                              capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_trace_refused_before_any_row(self, capsys):
+        # 5 * 2,000,001 coefficients: one column past the limit
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "trace", "--d", "5", "--steps", "1999996")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == "" and "limit" in err
+        assert peak < 10 ** 6
+
 
 class TestTrace:
     def test_rows(self, capsys):
@@ -164,6 +194,21 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "000")
         assert code == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", [
+        "DIM x SYSTEMS 3",
+        "DIM 1 SYSTEMS 3",
+        "DIM 3 SYSTEMS 3\nCNOT 0 0",
+        "DIM 3 SYSTEMS 3\nCNOT 0 7",
+        '{"d":1,"systems":3,"gates":[]}',
+        '{"d":3,"systems":3,"gates":[[0,0]]}',
+    ])
+    def test_numeric_circuit_faults_exit_1(self, capsys, tmp_path, text):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad circuit: ")
 
     def test_state_size_budget_exit_1(self, capsys, tmp_path):
         path = tmp_path / "c.txt"

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swapnet import network
 from swapnet.errors import SizeBudgetError, SwapnetError
 from swapnet.cycles import cycle_length
 from swapnet.network import (
+    TRACE_LIMIT,
     Circuit,
     Gate,
     StateVector,
@@ -131,6 +133,40 @@ class TestTraceArray:
         # column at t=1 is (1,1,0,0): first gate adds digit 0 into digit 1
         assert arr.column(1) == (1, 1, 0, 0)
         assert arr.header((2, 3, 0, 0))[-1] == (2 + 3) % 4
+
+
+class TestTraceLinearMap:
+    """The trace row read as the network's linear map, against the gates."""
+
+    @given(st.integers(2, 7), st.integers(0, 300))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_gate_by_gate_map(self, d, T):
+        got = trace_array(d, T).linear_map().matrix
+        want = linear_map(build_cyclic_network(d, T)).matrix
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_d125_cycle_peak_memory(self):
+        # one row of 390,849 small ints; a column tuple per step would need ~400 MB
+        tracemalloc.start()
+        try:
+            arr = trace_array(125, 390600)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 10 ** 6
+        assert arr.t_end == 390600 and len(arr.row0) == 390600 + 2 * 125 - 1
+
+    def test_size_budget_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError):  # T + 2d - 1 is one past the limit
+                trace_array(2, TRACE_LIMIT - 2)
+            with pytest.raises(SizeBudgetError):
+                trace_array(10, 1736327236)  # one full d=10 cycle
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
 
 
 class TestStateVector:
@@ -318,6 +354,17 @@ class TestVerifySwap:
     def test_shift_matches_cycle_module(self, d):
         assert verify_swap(d).shift == cycle_length(d).shift
 
+    def test_d125_builds_no_gates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_swap must not go through the gate path")
+
+        monkeypatch.setattr(network, "build_cyclic_network", refuse)
+        monkeypatch.setattr(network, "linear_map", refuse)
+        verdict = verify_swap(125)
+        assert verdict.kind == "grouped"
+        assert verdict.shift == 100
+        assert verdict.gate_count == 390600
+
     def test_partial_cycle_is_other(self):
         # half a cycle of the qutrit network is not a digit permutation
         report = cycle_length(3)
@@ -350,6 +397,19 @@ class TestSerialization:
     def test_parse_rejects_bad_json_schema(self, text):
         with pytest.raises(SwapnetError):
             parse_circuit(text)
+
+    @pytest.mark.parametrize("text", [
+        "DIM x SYSTEMS 3",
+        "DIM 1 SYSTEMS 3",
+        "DIM 3 SYSTEMS 3\nCNOT 0 0",
+        "DIM 3 SYSTEMS 3\nCNOT 0 7",
+        '{"d":1,"systems":3,"gates":[]}',
+        '{"d":3,"systems":3,"gates":[[0,0]]}',
+    ])
+    def test_parse_numeric_faults_are_circuit_errors(self, text):
+        with pytest.raises(SwapnetError) as err:
+            parse_circuit(text)
+        assert not isinstance(err.value, ValueError)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(SwapnetError):
