@@ -7,6 +7,8 @@ CNOT gates one full cycle of the network needs, and the period mod d
 is the amount by which the systems end up cyclically shifted.  Prime
 dimensions give exactly -1, which is the full SWAP.
 """
+import time
+
 from swapnet import cycle_length, predicted_cycle, scan, scan_csv, verify_conjecture
 
 # The table of periods for small dimensions.
@@ -27,6 +29,17 @@ assert d6.length == 6552
 for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]:
     assert verify_conjecture(p, m)
     print(f"p^m = {p ** m}: predicted {predicted_cycle(p, m)} confirmed")
+
+# Brute force needs one step per gate: 6.1e9 for d = 3125 = 5^5, tens of
+# minutes.  The period is also the multiplicative order of x in
+# Z_d[x]/(x^d - x^(d-1) - 1), since the generating function is
+# 1/(1 - z - z^d).  cycle_length certifies N by checking x^N = 1 and
+# x^(N/r) != 1 for every prime r dividing N, by repeated squaring.
+start = time.perf_counter()
+big = cycle_length(3125)
+elapsed = time.perf_counter() - start
+assert big.length == predicted_cycle(5, 5) and big.conjecture_ok
+print(f"d=3125: period {big.length} certified in {elapsed:.1f} s ({big.method})")
 
 # Shifts read off the table: d=5 gives -1 (full SWAP), d=4 gives 2
 # (two transpositions), d=6 gives 0 (the network does nothing).

@@ -95,6 +95,7 @@ def cmd_swap(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    seqcore._check_modulus(args.d)  # an invalid d is a usage error before any size check
     # d rows of T + d coefficients each, refused before any is built
     if args.d * (args.steps + args.d) > network.TRACE_LIMIT:
         raise SizeBudgetError(f"{args.d} rows of {args.steps + args.d} coefficients "

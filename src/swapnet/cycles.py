@@ -2,20 +2,28 @@
 
 For prime d the period of the sequence mod d is d^2 - 1; for prime
 powers p^m the expected period is p^(m-1) * (p^(2m) - 1), checked here
-by brute force rather than assumed.  Composite moduli decompose into
-prime powers whose periods combine by LCM.  The period mod d, reduced
-mod d, is the shift by which a network of that many gates cycles its
-systems.
+rather than assumed, by one of two routes.  The certificate proves that
+N is the multiplicative order of x in Z_d[x]/(x^d - x^(d-1) - 1)
+(x^N = 1 and x^(N/r) != 1 for every prime r dividing N); brute force
+advances the d-term window until it returns to all ones, and decides
+whenever the certificate fails or is not tried.  Composite moduli
+decompose into prime powers whose periods combine by LCM.  The period
+mod d, reduced mod d, is the shift by which a network of that many
+gates cycles its systems.
 """
 from __future__ import annotations
 
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from . import ring
 from .errors import InconclusiveError, VerificationError
 from .seqcore import Factorization, _check_prime, first_window_return
+
+log = logging.getLogger(__name__)
 
 DEFAULT_STEP_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "SWAPNET_BUDGET"
@@ -123,33 +131,55 @@ def _report(d: int, length: int, per_factor, method: str, conjecture_ok=None) ->
     return CycleReport(d, length, tuple(per_factor), shift, perm, method, conjecture_ok)
 
 
+def has_order(d: int, q: int, n: int) -> bool:
+    """True iff x has multiplicative order exactly n in Z_q[x]/(x^d - x^(d-1) - 1)."""
+    if not ring.is_one(ring.x_power(n, d, q)):
+        return False
+    primes = [r for r, _ in Factorization.of(n).factors]
+    if any(ring.is_one(ring.x_power(n // r, d, q)) for r in primes):
+        return False
+    log.debug("order %d of x certified in the ring (d=%d, mod %d), %d primes checked",
+              n, d, q, len(primes))
+    return True
+
+
 def cycle_length(d: int, budget: int | None = None) -> CycleReport:
     """Period of the order-d sequence mod d, via per-prime-power runs.
 
-    Prime-power dimensions are cross-checked against the predicted
-    period: a mismatch for prime d is impossible and raises; for m > 1
-    it is recorded in ``conjecture_ok``.
+    For d = p^m whose budget reaches the predicted period N, a ring
+    certificate that N is the order of x gives the report directly;
+    otherwise brute force runs, so a budget below N is still exhausted
+    at its own step count.  Brute-force prime-power results are
+    cross-checked against N: a mismatch for prime d is impossible and
+    raises; for m > 1 it is recorded in ``conjecture_ok``.
     """
     f = Factorization.of(d)
+    if f.is_prime_power:
+        p, m = f.factors[0]
+        expected = predicted_cycle(p, m)
+        b = budget if budget is not None else default_budget(d, d)
+        if b >= expected:
+            if has_order(d, d, expected):
+                return _report(d, expected, [(d, expected)], "predicted-and-verified",
+                               None if m == 1 else True)
+            log.info("d=%d: ring certificate for %d failed, brute force decides", d, expected)
     per_factor = []
     for p, e in f.factors:
         q = p ** e
         b = budget if budget is not None else default_budget(d, q)
         per_factor.append((q, cycle_length_direct(d, q, b)))
     length = math.lcm(*(ln for _, ln in per_factor))
-    if f.is_prime_power:
-        p, m = f.factors[0]
-        expected = predicted_cycle(p, m)
-        if m == 1:
-            if length != expected:
-                raise VerificationError(
-                    f"prime d={d}: measured period {length} != d^2-1 = {expected}"
-                )
-            return _report(d, length, per_factor, "predicted-and-verified")
-        ok = length == expected
-        method = "predicted-and-verified" if ok else "direct"
-        return _report(d, length, per_factor, method, conjecture_ok=ok)
-    return _report(d, length, per_factor, "composed")
+    if not f.is_prime_power:
+        return _report(d, length, per_factor, "composed")
+    if m == 1:
+        if length != expected:
+            raise VerificationError(
+                f"prime d={d}: measured period {length} != d^2-1 = {expected}"
+            )
+        return _report(d, length, per_factor, "predicted-and-verified")
+    ok = length == expected
+    method = "predicted-and-verified" if ok else "direct"
+    return _report(d, length, per_factor, method, conjecture_ok=ok)
 
 
 def cycle_report_direct(d: int, budget: int | None = None) -> CycleReport:

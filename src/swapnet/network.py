@@ -25,6 +25,7 @@ from .seqcore import _check_modulus
 
 OPERATOR_SIZE_LIMIT = 10 ** 6
 TRACE_LIMIT = 10 ** 7
+GATE_LIMIT = 10 ** 6
 NORM_TOL = 1e-12
 
 
@@ -67,6 +68,8 @@ def build_cyclic_network(d: int, gate_count: int) -> Circuit:
     _check_modulus(d)
     if gate_count < 0:
         raise ValueError("gate_count must be >= 0")
+    if gate_count > GATE_LIMIT:
+        raise SizeBudgetError(f"{gate_count} gates exceed the {GATE_LIMIT} gate limit")
     gates = tuple(Gate(k % d, (k + 1) % d) for k in range(gate_count))
     return Circuit(d, d, gates)
 

@@ -19,6 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 
+from . import ring
 from .errors import InconclusiveError, InvalidModulusError, InvalidPrimeError, VerificationError
 
 log = logging.getLogger(__name__)
@@ -191,15 +192,17 @@ def exact_sequence(d: int, count: int) -> list[int]:
 
 
 def term_mod(j: int, d: int, m: int) -> int:
-    """term_exact(j, d) mod m, computed by the modular recurrence."""
+    """term_exact(j, d) mod m: the coefficient sum of x^j in the ring.
+
+    The d initial terms are all ones, so term j is the sum of the
+    coefficients of x^j in Z_m[x]/(x^d - x^(d-1) - 1), which costs
+    O(d^2 log j).  ``seq_stream`` walks the recurrence instead.
+    """
     _check_order(d)
     _check_modulus(m)
     if j < 0:
         raise ValueError("j must be >= 0")
-    buf = [1] * d  # buf[t % d] holds term t for the last d values of t
-    for t in range(d, j + 1):
-        buf[t % d] = (buf[(t - 1) % d] + buf[t % d]) % m
-    return buf[j % d]
+    return int(ring.x_power(j, d, m).sum() % m)
 
 
 def seq_stream(d: int, m: int, count: int) -> list[int]:

@@ -130,6 +130,20 @@ class TestSizeLimits:
         assert proc.stderr.startswith("error: ") and "limit" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_export_beyond_gate_limit_exit_1(self, child_env):
+        proc = subprocess.run([sys.executable, "-m", "swapnet", "export", "--d", "10",
+                               "--gates", "1000001"],
+                              capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "gate limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_trace_invalid_d_before_size_check(self, capsys):
+        for steps in ("5", "100000000"):
+            code, out, err = run_cli(capsys, "trace", "--d", "1", "--steps", steps)
+            assert code == 2 and out == ""
+            assert err.startswith("usage error: ")
+
     def test_trace_refused_before_any_row(self, capsys):
         # 5 * 2,000,001 coefficients: one column past the limit
         tracemalloc.start()

@@ -1,5 +1,6 @@
 """Tests for period detection, composition, and induced shifts."""
 import json
+import logging
 import math
 import os
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapnet import cycles
-from swapnet.errors import InconclusiveError, InvalidPrimeError
+from swapnet.errors import InconclusiveError, InvalidPrimeError, VerificationError
 from swapnet.cycles import (
     CycleReport,
     Factorization,
@@ -289,3 +290,77 @@ def test_report_json_schema():
         "permutation": [0, 1, 2, 3, 4, 5],
         "method": "composed",
     }
+
+
+def _no_brute_force(*args):
+    raise AssertionError("brute force was called")
+
+
+class TestRingCertificate:
+    """The prime-power route: x^N = 1 and x^(N/r) != 1 in Z_d[x]/(x^d - x^(d-1) - 1)."""
+
+    SMALL = [d for d in range(2, 41) if Factorization.of(d).is_prime_power
+             and predicted_cycle(*Factorization.of(d).factors[0]) <= 3 * 10 ** 6]
+
+    @pytest.mark.parametrize("d", SMALL)
+    def test_agrees_with_brute_force(self, d):
+        p, m = Factorization.of(d).factors[0]
+        n = predicted_cycle(p, m)
+        length = cycle_length_direct(d, d, 2 * n)
+        brute = CycleReport(d, length, ((d, length),), length % d,
+                            tuple((i + length) % d for i in range(d)),
+                            "predicted-and-verified" if length == n else "direct",
+                            None if m == 1 else length == n)
+        assert cycle_length(d) == brute
+
+    @pytest.mark.parametrize("d", SMALL)
+    def test_wrong_orders_rejected(self, d):
+        n = predicted_cycle(*Factorization.of(d).factors[0])
+        assert cycles.has_order(d, d, n)
+        assert not cycles.has_order(d, d, 2 * n)
+        assert not cycles.has_order(d, d, n + 1)
+        for r, _ in Factorization.of(n).factors:
+            assert not cycles.has_order(d, d, n // r)
+
+    @pytest.mark.parametrize("d", [343, 729, 1024, 3125])
+    def test_large_prime_powers_without_brute_force(self, monkeypatch, d):
+        monkeypatch.setattr(cycles, "first_window_return", _no_brute_force)
+        p, m = Factorization.of(d).factors[0]
+        report = cycle_length(d)
+        assert report.length == predicted_cycle(p, m) == p ** (m - 1) * (p ** (2 * m) - 1)
+        assert report.method == "predicted-and-verified"
+        assert report.conjecture_ok is True
+
+    def test_budget_below_period_runs_brute_force(self, monkeypatch):
+        with pytest.raises(InconclusiveError) as info:
+            cycle_length(9, budget=239)
+        assert info.value.steps == 239
+        monkeypatch.setattr(cycles, "first_window_return", _no_brute_force)
+        assert cycle_length(9, budget=240).length == 240
+
+    def test_failed_certificate_leaves_the_verdict_to_brute_force(self, monkeypatch, caplog):
+        # a doubled prediction fails the certificate (x^(2N/2) = 1); brute force
+        # then measures the true period and records the mismatch
+        true_cycle = cycles.predicted_cycle
+        monkeypatch.setattr(cycles, "predicted_cycle", lambda p, m: 2 * true_cycle(p, m))
+        with caplog.at_level(logging.INFO, logger="swapnet.cycles"):
+            report = cycle_length(8)
+        assert (report.length, report.method, report.conjecture_ok) == (252, "direct", False)
+        assert [r.levelno for r in caplog.records] == [logging.INFO]
+        assert "d=8" in caplog.records[0].getMessage()
+        with pytest.raises(VerificationError):
+            cycle_length(7)
+
+    def test_certified_period_is_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="swapnet.cycles"):
+            cycle_length(25)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        # 3120 = 2^4 * 3 * 5 * 13
+        assert record.args == (3120, 25, 25, 4)
+
+    def test_default_route_logs_nothing_visible(self, caplog):
+        with caplog.at_level(logging.INFO, logger="swapnet.cycles"):
+            cycle_length(27)
+            cycle_length(6)
+        assert caplog.records == []

@@ -10,6 +10,7 @@ from swapnet import network
 from swapnet.errors import SizeBudgetError, SwapnetError
 from swapnet.cycles import cycle_length
 from swapnet.network import (
+    GATE_LIMIT,
     TRACE_LIMIT,
     Circuit,
     Gate,
@@ -60,6 +61,17 @@ class TestConstruction:
 
     def test_empty(self):
         assert len(build_cyclic_network(5, 0)) == 0
+
+    def test_gate_limit_before_allocation(self):
+        # a million Gate objects take ~180 MB; one past the limit builds none
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError):
+                build_cyclic_network(2, GATE_LIMIT + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
 
 
 class TestLinearMap:

@@ -164,6 +164,27 @@ class TestSequenceRoutes:
         assert seq_stream(d, m, j + 1)[j] == expected
 
 
+class TestTermModJumpAhead:
+    """term_mod reads the coefficient sum of x^j; seq_stream walks j steps."""
+
+    @given(st.integers(2, 12), st.integers(2, 50), st.integers(0, 3000))
+    @settings(max_examples=150)
+    def test_matches_stream(self, d, m, j):
+        assert term_mod(j, d, m) == seq_stream(d, m, j + 1)[j]
+
+    def test_below_order_is_one(self):
+        for d in (2, 5, 12):
+            assert [term_mod(j, d, 7) for j in range(d)] == [1] * d
+
+    def test_modulus_past_int64_products(self):
+        m = 2 ** 32 + 15  # 6 * (m-1)^2 passes 2^63, so the kernel uses exact ints
+        exact = exact_sequence(6, 501)
+        for j in (0, 5, 6, 250, 500):
+            value = term_mod(j, 6, m)
+            assert type(value) is int
+            assert value == exact[j] % m
+
+
 class TestSequenceWindow:
     """The d-term window that first_window_return advances."""
 
