@@ -20,6 +20,7 @@ from .cycles import (
     verify_conjecture,
 )
 from .errors import (
+    FactoringError,
     InconclusiveError,
     InvalidModulusError,
     InvalidPrimeError,

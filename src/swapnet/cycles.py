@@ -1,15 +1,19 @@
 """Cycle lengths of the sequence mod m and the permutation they induce.
 
-For prime d the period of the sequence mod d is d^2 - 1; for prime
-powers p^m the expected period is p^(m-1) * (p^(2m) - 1), checked here
-rather than assumed, by one of two routes.  The certificate proves that
-N is the multiplicative order of x in Z_d[x]/(x^d - x^(d-1) - 1)
-(x^N = 1 and x^(N/r) != 1 for every prime r dividing N); brute force
-advances the d-term window until it returns to all ones, and decides
-whenever the certificate fails or is not tried.  Composite moduli
-decompose into prime powers whose periods combine by LCM.  The period
-mod d, reduced mod d, is the shift by which a network of that many
-gates cycles its systems.
+The period of the sequence mod q is the multiplicative order of x in
+R_q = Z_q[x]/(x^d - x^(d-1) - 1), since the generating function is
+1/(1 - z - z^d).  For prime d it is d^2 - 1; for prime powers p^m the
+expected period N = p^(m-1) * (p^(2m) - 1) is checked rather than
+assumed: a certificate proves that N is the order of x (x^N = 1 and
+x^(N/r) != 1 for every prime r dividing N).  Composite d decompose into
+prime powers q = p^e whose periods combine by LCM; each is the order of
+x in R_q, found from the distinct-degree factorisation of
+x^d - x^(d-1) - 1 mod p and lifted to p^e (``ring_order``).  Brute
+force advances the d-term window until it returns to all ones; it is
+the oracle, and it decides whenever the ring cannot (a failed
+certificate, a budget below N, or a factor of p^k - 1 that cannot be
+proven prime).  The period mod d, reduced mod d, is the shift by which
+a network of that many gates cycles its systems.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import ring
-from .errors import InconclusiveError, VerificationError
+from .errors import FactoringError, InconclusiveError, VerificationError
 from .seqcore import Factorization, _check_prime, first_window_return
 
 log = logging.getLogger(__name__)
@@ -41,22 +45,14 @@ def predicted_cycle(p: int, m: int) -> int:
     return p ** (m - 1) * (p ** (2 * m) - 1)
 
 
-def default_budget(order: int, modulus: int) -> int:
-    """Step budget used when the caller does not supply one.
+def env_budget() -> int | None:
+    """The SWAPNET_BUDGET environment value, or None when unset or empty.
 
-    Twice the predicted period when the order equals a prime-power
-    modulus; otherwise the SWAPNET_BUDGET environment value or 10^8.
-    An empty SWAPNET_BUDGET counts as unset; any other value that is not
-    a positive integer raises ValueError.
+    Any other value that is not a positive integer raises ValueError.
     """
-    if order == modulus:
-        f = Factorization.of(modulus)
-        if f.is_prime_power:
-            p, m = f.factors[0]
-            return 2 * predicted_cycle(p, m)
     env = os.environ.get(BUDGET_ENV_VAR, "")
     if not env:
-        return DEFAULT_STEP_BUDGET
+        return None
     try:
         value = int(env)
     except ValueError:
@@ -64,6 +60,20 @@ def default_budget(order: int, modulus: int) -> int:
     if value < 1:
         raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {env!r}")
     return value
+
+
+def default_budget(order: int, modulus: int) -> int:
+    """Step budget used when the caller does not supply one.
+
+    Twice the predicted period when the order equals a prime-power
+    modulus; otherwise the SWAPNET_BUDGET environment value or 10^8.
+    """
+    if order == modulus:
+        f = Factorization.of(modulus)
+        if f.is_prime_power:
+            p, m = f.factors[0]
+            return 2 * predicted_cycle(p, m)
+    return env_budget() or DEFAULT_STEP_BUDGET
 
 
 def cycle_length_direct(d: int, m: int, budget: int) -> int:
@@ -143,6 +153,37 @@ def has_order(d: int, q: int, n: int) -> bool:
     return True
 
 
+def ring_order(d: int, p: int, e: int) -> int:
+    """Multiplicative order of x in Z_(p^e)[x]/(x^d - x^(d-1) - 1), for a prime p | d.
+
+    f = x^d - x^(d-1) - 1 splits mod p into g_k, the products of its
+    degree-k irreducible factors; mod g_k the order of x divides p^k - 1
+    and is found by stripping each prime r while x^(n/r) = 1.  The order
+    mod p is the LCM over k, and the order mod p^e is that times the
+    least power of p (at most p^(e-1)) that brings x^n back to 1.
+    Raises FactoringError when some p^k - 1 cannot be factored into
+    proven primes.
+    """
+    _check_prime(p)
+    n = 1
+    degrees = []
+    for k, g in ring.distinct_degree(d, p).items():
+        degrees += [k] * ((len(g) - 1) // k)
+        order = p ** k - 1  # > 1: f(1) = -1, so x - 1 never divides f
+        for r, _ in Factorization.of(order).factors:
+            while order % r == 0 and ring.poly_divmod(ring.x_power(order // r, d, p), g, p)[1] == [1]:
+                order //= r
+        n = math.lcm(n, order)
+    q = p ** e
+    for lift in range(e):
+        if ring.is_one(ring.x_power(n, d, q)):
+            log.debug("d=%d, mod %d: factor degrees %s mod %d, order %d, lifted by %d^%d",
+                      d, q, degrees, p, n, p, lift)
+            return n
+        n *= p
+    raise VerificationError(f"x^{n} != 1 mod {q} (order {d}): no lift within {p}^{e - 1}")
+
+
 def cycle_length(d: int, budget: int | None = None) -> CycleReport:
     """Period of the order-d sequence mod d, via per-prime-power runs.
 
@@ -152,6 +193,13 @@ def cycle_length(d: int, budget: int | None = None) -> CycleReport:
     at its own step count.  Brute-force prime-power results are
     cross-checked against N: a mismatch for prime d is impossible and
     raises; for m > 1 it is recorded in ``conjecture_ok``.
+
+    For composite d each factor's period is ``ring_order``.  An explicit
+    budget (the argument, or else SWAPNET_BUDGET) keeps its brute-force
+    meaning: a factor whose period exceeds it is inconclusive after that
+    many steps.  Without one the ring decides with no step limit.  When
+    factoring fails, brute force decides that factor under the default
+    budget.
     """
     f = Factorization.of(d)
     if f.is_prime_power:
@@ -159,27 +207,42 @@ def cycle_length(d: int, budget: int | None = None) -> CycleReport:
         expected = predicted_cycle(p, m)
         b = budget if budget is not None else default_budget(d, d)
         if b >= expected:
-            if has_order(d, d, expected):
-                return _report(d, expected, [(d, expected)], "predicted-and-verified",
-                               None if m == 1 else True)
-            log.info("d=%d: ring certificate for %d failed, brute force decides", d, expected)
+            try:
+                certified = has_order(d, d, expected)
+            except FactoringError as exc:
+                log.info("d=%d: cannot factor %d, brute force decides", d, exc.cofactor)
+            else:
+                if certified:
+                    return _report(d, expected, [(d, expected)], "predicted-and-verified",
+                                   None if m == 1 else True)
+                log.info("d=%d: ring certificate for %d failed, brute force decides", d, expected)
+        length = cycle_length_direct(d, d, b)
+        if m == 1:
+            if length != expected:
+                raise VerificationError(
+                    f"prime d={d}: measured period {length} != d^2-1 = {expected}"
+                )
+            return _report(d, length, [(d, length)], "predicted-and-verified")
+        ok = length == expected
+        method = "predicted-and-verified" if ok else "direct"
+        return _report(d, length, [(d, length)], method, conjecture_ok=ok)
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
+    cap = budget if budget is not None else env_budget()
     per_factor = []
     for p, e in f.factors:
         q = p ** e
-        b = budget if budget is not None else default_budget(d, q)
-        per_factor.append((q, cycle_length_direct(d, q, b)))
-    length = math.lcm(*(ln for _, ln in per_factor))
-    if not f.is_prime_power:
-        return _report(d, length, per_factor, "composed")
-    if m == 1:
-        if length != expected:
-            raise VerificationError(
-                f"prime d={d}: measured period {length} != d^2-1 = {expected}"
+        try:
+            length = ring_order(d, p, e)
+        except FactoringError as exc:
+            log.info("d=%d, mod %d: cannot factor %d, brute force decides", d, q, exc.cofactor)
+            length = cycle_length_direct(d, q, cap or DEFAULT_STEP_BUDGET)
+        if cap is not None and length > cap:
+            raise InconclusiveError(
+                f"no window return within {cap} steps (order {d}, mod {q})", steps=cap
             )
-        return _report(d, length, per_factor, "predicted-and-verified")
-    ok = length == expected
-    method = "predicted-and-verified" if ok else "direct"
-    return _report(d, length, per_factor, method, conjecture_ok=ok)
+        per_factor.append((q, length))
+    return _report(d, math.lcm(*(ln for _, ln in per_factor)), per_factor, "composed")
 
 
 def cycle_report_direct(d: int, budget: int | None = None) -> CycleReport:

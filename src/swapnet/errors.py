@@ -24,6 +24,17 @@ class InconclusiveError(SwapnetError):
         self.steps = steps
 
 
+class FactoringError(SwapnetError):
+    """An integer could not be factored into proven primes.
+
+    ``cofactor`` is the part that could be neither proven prime nor split.
+    """
+
+    def __init__(self, message: str, cofactor: int):
+        super().__init__(message)
+        self.cofactor = cofactor
+
+
 class SizeBudgetError(SwapnetError):
     """An operation would exceed its memory/size budget."""
 

@@ -48,3 +48,63 @@ def x_power(n: int, d: int, q: int) -> np.ndarray:
 def is_one(a: np.ndarray) -> bool:
     """True iff a is the unit of R_q."""
     return a[0] == 1 and not a[1:].any()
+
+
+# Polynomials over F_p, for splitting f = x^d - x^(d-1) - 1 mod p: lists of
+# ints, lowest degree first, with no trailing zeros (the zero polynomial is []).
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_divmod(a, b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by nonzero b over F_p; a may be a ring element."""
+    r = [int(c) % p for c in a]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(r) - db, 0)
+    for i in reversed(range(len(quot))):
+        c = quot[i] = r[i + db] * inv % p
+        if c:
+            for j, v in enumerate(b):
+                r[i + j] = (r[i + j] - c * v) % p
+    return _trim(quot), _trim(r[:db])
+
+
+def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b over F_p ([] when both are zero)."""
+    while b:
+        a, b = b, poly_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def distinct_degree(d: int, p: int) -> dict[int, list[int]]:
+    """{k: g_k}, where g_k is the product of the degree-k irreducible factors of f mod p.
+
+    Distinct-degree factorisation: g_k = gcd(x^(p^k) - x, rest), with x^(p^k)
+    from ``x_power`` in R_p, since every g_k divides f.  It assumes f is
+    squarefree mod p, which holds whenever p | d: then f' = x^(d-2) and
+    f(0) = -1.
+    """
+    if d % p:
+        raise ValueError(f"f is split only mod a prime p dividing d, got d={d}, p={p}")
+    rest = [p - 1] + [0] * (d - 2) + [p - 1, 1]  # f mod p
+    split = {}
+    k = 1
+    while 2 * k < len(rest):  # otherwise rest has at most one factor left
+        h = poly_divmod(x_power(p ** k, d, p), rest, p)[1]
+        h += [0] * (2 - len(h))
+        h[1] = (h[1] - 1) % p
+        g = poly_gcd(rest, _trim(h), p)
+        if len(g) > 1:
+            split[k] = g
+            rest = poly_divmod(rest, g, p)[0]
+        k += 1
+    if len(rest) > 1:
+        split[len(rest) - 1] = rest  # what is left is irreducible
+    return split

@@ -66,6 +66,18 @@ class TestCycle:
         doc = json.loads(out)
         assert doc["inconclusive"] is True and doc["steps"] == 5
 
+    def test_d14_from_the_ring(self, capsys):
+        code, out, err = run_cli(capsys, "cycle", "--d", "14")
+        assert code == 0 and err == ""
+        assert out.splitlines()[:2] == ["length 648683836488",
+                                        "factors: 11811 (mod 2), 164766024 (mod 7)"]
+        assert out.splitlines()[-1] == "method composed"
+
+    def test_composite_budget_exhaustion(self, capsys):
+        code, out, _ = run_cli(capsys, "cycle", "--d", "10", "--budget", "1000")
+        assert code == 3
+        assert out == "inconclusive: no window return within 1000 steps (order 10, mod 5)\n"
+
 
 class TestScan:
     def test_table(self, capsys):
@@ -89,6 +101,11 @@ class TestScan:
         code, out, err = run_cli(capsys, "scan", "--max", "4", "--jobs", jobs)
         assert code == 2 and out == ""
         assert "usage error" in err and "jobs" in err
+
+    def test_every_d_up_to_33_decided(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--max", "33", "--csv")
+        assert code == 0
+        assert "inconclusive" not in out and len(out.splitlines()) == 33
 
     def test_partial_failure_exit_3(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--max", "6", "--budget", "10")

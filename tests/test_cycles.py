@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapnet import cycles
-from swapnet.errors import InconclusiveError, InvalidPrimeError, VerificationError
+from swapnet import cycles, seqcore
+from swapnet.errors import FactoringError, InconclusiveError, InvalidPrimeError, VerificationError
 from swapnet.cycles import (
     CycleReport,
     Factorization,
@@ -22,7 +22,7 @@ from swapnet.cycles import (
     scan_csv,
     verify_conjecture,
 )
-from swapnet.seqcore import seq_stream
+from swapnet.seqcore import _check_prime, seq_stream
 
 TABLE = {2: 3, 3: 8, 4: 30, 5: 24, 6: 6552, 7: 48, 8: 252, 9: 240}
 
@@ -40,6 +40,42 @@ class TestFactorization:
             f = Factorization.of(n)
             assert math.prod(p ** e for p, e in f.factors) == n
             assert list(f.factors) == sorted(f.factors)
+
+    # strong pseudoprimes to the first 9 and the first 12 prime bases
+    PSEUDOPRIMES = (3825123056546413051, 318665857834031151167461)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        ns = [p ** k - 1 for p in (2, 3, 5, 7, 11, 13) for k in range(2, 81) if p ** k < 10 ** 24]
+        ns += [10 ** 8 + 7, 9999991 * 10000019, 2 ** 61 - 1, 2 ** 64 + 1, *self.PSEUDOPRIMES]
+        for n in ns:
+            assert dict(Factorization.of(n).factors) == sympy.factorint(n), n
+
+    @given(st.integers(2, 10 ** 18))
+    @settings(max_examples=200)
+    def test_primality_matches_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert (Factorization.of(n).factors == ((n, 1),)) == sympy.isprime(n)
+
+    def test_strong_pseudoprimes_are_composite(self):
+        for n in self.PSEUDOPRIMES:
+            assert len(Factorization.of(n).factors) > 1
+            with pytest.raises(InvalidPrimeError):
+                _check_prime(n)
+        _check_prime(2 ** 61 - 1)  # proven by Miller-Rabin, no exception
+
+    def test_unprovable_prime_raises(self):
+        # 2^89 - 1 is prime but above the deterministic Miller-Rabin range
+        with pytest.raises(FactoringError) as info:
+            Factorization.of(3 * (2 ** 89 - 1))
+        assert info.value.cofactor == 2 ** 89 - 1
+
+    def test_unsplit_composite_raises(self, monkeypatch):
+        monkeypatch.setattr(seqcore, "RHO_STEPS", 10)
+        n = 1000003 * 1000033
+        with pytest.raises(FactoringError) as info:
+            Factorization.of(n)
+        assert info.value.cofactor == n
 
 
 class TestPredictedCycle:
@@ -364,3 +400,178 @@ class TestRingCertificate:
             cycle_length(27)
             cycle_length(6)
         assert caplog.records == []
+
+
+# Composite d <= 33 whose factor period mod p^e is at most 2e6: every other
+# factor's period is larger (TestRingOrder.test_list_is_complete)
+SMALL_FACTORS = [(6, 2, 1), (6, 3, 1), (10, 2, 1), (10, 5, 1), (12, 2, 2), (12, 3, 1),
+                 (14, 2, 1), (18, 2, 1), (20, 2, 2), (26, 2, 1)]
+COMPOSITE = [d for d in range(4, 34) if not Factorization.of(d).is_prime_power]
+
+
+class TestRingOrder:
+    """Composite d: the order of x mod p^e from distinct-degree factorisation."""
+
+    @pytest.mark.parametrize("d,p,e", SMALL_FACTORS)
+    def test_agrees_with_brute_force(self, d, p, e):
+        assert cycles.ring_order(d, p, e) == cycle_length_direct(d, p ** e, 2 * 10 ** 6)
+
+    def test_list_is_complete(self):
+        for d in COMPOSITE:
+            for p, e in Factorization.of(d).factors:
+                if (d, p, e) not in SMALL_FACTORS:
+                    assert cycles.ring_order(d, p, e) > 2 * 10 ** 6, (d, p, e)
+
+    @pytest.mark.parametrize("d", COMPOSITE)
+    def test_order_mod_p_matches_sympy(self, d):
+        # an independent route: the order of x mod each irreducible factor of f,
+        # with sympy's factoring and its own modular powers
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_pow_mod
+        x = sympy.symbols("x")
+        for p, e in Factorization.of(d).factors:
+            want = 1
+            for h, _ in sympy.Poly(x ** d - x ** (d - 1) - 1, x, modulus=p).factor_list()[1]:
+                coeffs = [int(c) % p for c in h.all_coeffs()]
+                n = p ** h.degree() - 1
+                for r in sympy.factorint(n):
+                    while n % r == 0 and gf_pow_mod([1, 0], n // r, coeffs, p, ZZ) == [1]:
+                        n //= r
+                want = math.lcm(want, n)
+            assert cycles.ring_order(d, p, 1) == want
+            lifted = cycles.ring_order(d, p, e)
+            assert lifted in [want * p ** j for j in range(e)]
+
+    @pytest.mark.parametrize("d", [d for d in range(2, 65) if Factorization.of(d).is_prime_power])
+    def test_prime_powers_match_the_prediction(self, d):
+        # a second algebraic route to p^(m-1) * (p^(2m) - 1), besides has_order
+        p, m = Factorization.of(d).factors[0]
+        assert cycles.ring_order(d, p, m) == predicted_cycle(p, m)
+
+    def test_rejects_a_prime_not_dividing_d(self):
+        with pytest.raises(ValueError):
+            cycles.ring_order(10, 3, 1)
+        with pytest.raises(InvalidPrimeError):
+            cycles.ring_order(12, 4, 1)
+
+    @pytest.mark.parametrize("d", [6, 10, 12])
+    def test_composite_reports_without_brute_force(self, monkeypatch, d):
+        monkeypatch.setattr(cycles, "first_window_return", _no_brute_force)
+        report = cycle_length(d)
+        assert report.method == "composed"
+        assert report.length == math.lcm(*(ln for _, ln in report.per_factor))
+
+    def test_d14_and_d22(self):
+        # beyond brute force: d=14 mod 7 alone needs 1.6e8 window steps
+        assert cycle_length(14).per_factor == ((2, 11811), (7, 164766024))
+        assert cycle_length(14).length == 648683836488
+        report = cycle_length(22)
+        assert report.per_factor == ((2, 4194303), (11, 22424999831085333640))
+        assert report.length == math.lcm(4194303, 22424999831085333640)
+
+    def test_scan_decides_every_d_up_to_33(self):
+        entries = scan(33)
+        assert all(isinstance(e, CycleReport) for e in entries)
+        assert [e.d for e in entries if e.shift == 0] == [6, 12, 26, 33]
+
+    def test_one_debug_record_per_factor(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="swapnet.cycles"):
+            cycle_length(10)
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
+        # (d, q, degrees, p, order, p, lift)
+        assert [r.args for r in caplog.records] == [
+            (10, 2, [3, 7], 2, 889, 2, 0),
+            (10, 5, [1, 9], 5, 1953124, 5, 0),
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="swapnet.cycles"):
+            cycle_length(12)
+        assert caplog.records[0].args == (12, 4, [3, 4, 5], 2, 6510, 2, 1)
+
+
+def _brute_force_outcome(d, budget):
+    """What cycle_length(d, budget) gave when brute force ran every factor."""
+    per_factor = []
+    for q in Factorization.of(d).prime_powers():
+        try:
+            per_factor.append((q, cycle_length_direct(d, q, budget)))
+        except InconclusiveError as exc:
+            return ("inconclusive", str(exc), exc.steps)
+    return ("report", tuple(per_factor))
+
+
+def _outcome(d, budget):
+    try:
+        return ("report", cycle_length(d, budget).per_factor)
+    except InconclusiveError as exc:
+        return ("inconclusive", str(exc), exc.steps)
+
+
+class TestCompositeBudget:
+    """An explicit budget keeps its brute-force meaning on the ring route."""
+
+    @pytest.mark.parametrize("d", [6, 10, 12])
+    def test_budget_edges_match_brute_force(self, monkeypatch, d):
+        orders = [ln for _, ln in cycle_length(d).per_factor]
+        budgets = sorted({b for n in orders for b in (n - 1, n)})
+        want = {b: _brute_force_outcome(d, b) for b in budgets}
+        monkeypatch.setattr(cycles, "first_window_return", _no_brute_force)
+        for b in budgets:
+            assert _outcome(d, b) == want[b], b
+        assert want[max(orders)][0] == "report"
+        assert want[max(orders) - 1][0] == "inconclusive"
+
+    def test_env_budget_is_a_cap(self, monkeypatch):
+        monkeypatch.setattr(cycles, "first_window_return", _no_brute_force)
+        monkeypatch.setenv("SWAPNET_BUDGET", "727")
+        assert _outcome(6, None) == ("inconclusive",
+                                     "no window return within 727 steps (order 6, mod 3)", 727)
+        monkeypatch.setenv("SWAPNET_BUDGET", "728")
+        assert _outcome(6, None) == ("report", ((2, 63), (3, 728)))
+
+    def test_without_a_cap_the_ring_has_no_step_limit(self):
+        # 1953124 > 10^6, yet no budget and no SWAPNET_BUDGET means no cap
+        assert cycle_length(10).per_factor[1] == (5, 1953124)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_a_usage_error(self, budget):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            cycle_length(6, budget)
+
+
+class TestFactoringFallback:
+    """A factoring failure hands the factor to brute force under today's budget."""
+
+    @pytest.fixture
+    def no_factoring(self, monkeypatch):
+        true_of = Factorization.of
+
+        def of(n):
+            if n > 100:
+                raise FactoringError(f"cannot split composite {n}", cofactor=n)
+            return true_of(n)
+
+        monkeypatch.setattr(cycles.Factorization, "of", staticmethod(of))
+
+    def test_composite_falls_back(self, no_factoring, caplog):
+        with caplog.at_level(logging.INFO, logger="swapnet.cycles"):
+            report = cycle_length(6)
+        assert report.per_factor == ((2, 63), (3, 728)) and report.method == "composed"
+        # 3^6 - 1 = 728 cannot be factored; 2^6 - 1 = 63 can
+        [record] = caplog.records
+        assert record.levelno == logging.INFO
+        assert "728" in record.getMessage() and "mod 3" in record.getMessage()
+
+    def test_fallback_keeps_the_budget(self, no_factoring):
+        with pytest.raises(InconclusiveError) as info:
+            cycle_length(6, budget=700)
+        assert (str(info.value), info.value.steps) == (
+            "no window return within 700 steps (order 6, mod 3)", 700)
+
+    def test_prime_power_falls_back(self, no_factoring, caplog):
+        with caplog.at_level(logging.INFO, logger="swapnet.cycles"):
+            report = cycle_length(9)
+        assert (report.length, report.method, report.conjecture_ok) == (240, "predicted-and-verified", True)
+        [record] = caplog.records
+        assert "240" in record.getMessage()

@@ -1,10 +1,13 @@
 """Tests for the arithmetic kernel over Z_q[x]/(x^d - x^(d-1) - 1)."""
+from collections import Counter
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapnet import ring
-from swapnet.seqcore import exact_sequence, seq_stream
+from swapnet.seqcore import Factorization, exact_sequence, seq_stream
 
 
 def mul_oracle(a, b, d, q):
@@ -76,3 +79,81 @@ class TestIsOne:
         assert ring.is_one(ring.x_power(8, 3, 3))
         assert ring.is_one(ring.x_power(0, 3, 3))
         assert not any(ring.is_one(ring.x_power(n, 3, 3)) for n in range(1, 8))
+
+
+def poly_mul(a, b, p):
+    """Schoolbook product over F_p, trimmed."""
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] = (prod[i + j] + u * v) % p
+    while prod and prod[-1] == 0:
+        prod.pop()
+    return prod
+
+
+@st.composite
+def fp_polys(draw, nonzero, maybe_zero=1):
+    """A prime p and polynomials over F_p; the first ``nonzero`` are nonzero."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 31]))
+    polys = []
+    for i in range(nonzero + maybe_zero):
+        coeffs = draw(st.lists(st.integers(0, p - 1), max_size=12))
+        if coeffs or i < nonzero:
+            coeffs.append(draw(st.integers(1, p - 1)))
+        polys.append(coeffs)
+    return p, polys
+
+
+class TestPolynomialsModP:
+    @given(fp_polys(1))
+    @settings(max_examples=200)
+    def test_a_times_b_rem_b_is_zero(self, case):
+        p, (b, a) = case
+        quot, rem = ring.poly_divmod(poly_mul(a, b, p), b, p)
+        assert rem == [] and quot == poly_mul(a, [1], p)
+
+    @given(fp_polys(1))
+    @settings(max_examples=200)
+    def test_division_identity(self, case):
+        p, (b, a) = case
+        quot, rem = ring.poly_divmod(a, b, p)
+        assert len(rem) < len(b)
+        back = poly_mul(quot, b, p) + [0] * len(a)
+        for i, c in enumerate(rem):
+            back[i] = (back[i] + c) % p
+        assert poly_mul(back, [1], p) == a
+
+    @given(fp_polys(2))
+    @settings(max_examples=200)
+    def test_gcd_divides_both(self, case):
+        p, (c, a, b) = case
+        a, b = poly_mul(a, c, p), poly_mul(b, c, p)
+        g = ring.poly_gcd(a, b, p)
+        assert g[-1] == 1
+        assert ring.poly_divmod(a, g, p)[1] == [] and ring.poly_divmod(b, g, p)[1] == []
+        assert ring.poly_divmod(g, ring.poly_gcd(c, c, p), p)[1] == []  # the common factor divides g
+
+
+class TestDistinctDegree:
+    @pytest.mark.parametrize("d", [d for d in range(4, 41) if not Factorization.of(d).is_prime_power])
+    def test_degrees_match_sympy(self, d):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        for p, _ in Factorization.of(d).factors:
+            split = ring.distinct_degree(d, p)
+            got = Counter({k: (len(g) - 1) // k for k, g in split.items()})
+            factors = sympy.Poly(x ** d - x ** (d - 1) - 1, x, modulus=p).factor_list()[1]
+            assert got == Counter(g.degree() for g, _ in factors), (d, p)
+            assert all(mult == 1 for _, mult in factors)  # squarefree since p | d
+
+    @pytest.mark.parametrize("d,p", [(6, 2), (10, 5), (12, 3), (22, 11)])
+    def test_product_is_f(self, d, p):
+        prod = [1]
+        for g in ring.distinct_degree(d, p).values():
+            prod = poly_mul(prod, g, p)
+        assert prod == [p - 1] + [0] * (d - 2) + [p - 1, 1]
+
+    def test_needs_p_dividing_d(self):
+        with pytest.raises(ValueError):
+            ring.distinct_degree(10, 3)
