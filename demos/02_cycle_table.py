@@ -33,8 +33,9 @@ for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]:
 # Brute force needs one step per gate: 6.1e9 for d = 3125 = 5^5, tens of
 # minutes.  The period is also the multiplicative order of x in
 # Z_d[x]/(x^d - x^(d-1) - 1), since the generating function is
-# 1/(1 - z - z^d).  cycle_length certifies N by checking x^N = 1 and
-# x^(N/r) != 1 for every prime r dividing N, by repeated squaring.
+# 1/(1 - z - z^d).  cycle_length takes N as a multiple of that order and
+# strips each prime r of N while x^(N/r) = 1, by repeated squaring: x^N = 1
+# with no prime stripped certifies N.
 start = time.perf_counter()
 big = cycle_length(3125)
 elapsed = time.perf_counter() - start
@@ -44,9 +45,10 @@ print(f"d=3125: period {big.length} certified in {elapsed:.1f} s ({big.method})"
 # Composite d: the period mod each prime power q = p^e | d is the order
 # of x in Z_q[x]/(x^d - x^(d-1) - 1).  Mod p, x^d - x^(d-1) - 1 splits by
 # distinct-degree factorisation into g_k (the product of its degree-k
-# irreducible factors), where the order of x divides p^k - 1; the LCM over
-# k, lifted by powers of p, is the order mod q.  Brute force would need
-# 1.6e8 window steps for d = 14 mod 7 alone.
+# irreducible factors), where the order of x divides p^k - 1.  So the order
+# mod q divides p^(e-1) times the LCM of p^k - 1 over the degrees k, and the
+# same stripping finds it.  Brute force would need 1.6e8 window steps for
+# d = 14 mod 7 alone.
 for d in (14, 22):
     start = time.perf_counter()
     report = cycle_length(d)

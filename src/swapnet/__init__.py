@@ -13,7 +13,6 @@ from .cycles import (
     ScanFailure,
     cycle_length,
     cycle_length_direct,
-    cycle_report_direct,
     predicted_cycle,
     scan,
     scan_csv,

@@ -133,8 +133,12 @@ def _parse_state(spec: str, d: int, n: int) -> network.StateVector:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.circuit, "r", encoding="ascii") as fh:
-        circuit = network.parse_circuit(fh.read())
+    try:
+        with open(args.circuit, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # a ValueError, which would read as a usage error
+        raise SwapnetError(f"bad circuit: {exc}") from exc
+    circuit = network.parse_circuit(text)
     state = _parse_state(args.state, circuit.d, circuit.n_systems)
     out = network.simulate(circuit, state)
     if args.json:

@@ -2,18 +2,19 @@
 
 The period of the sequence mod q is the multiplicative order of x in
 R_q = Z_q[x]/(x^d - x^(d-1) - 1), since the generating function is
-1/(1 - z - z^d).  For prime d it is d^2 - 1; for prime powers p^m the
-expected period N = p^(m-1) * (p^(2m) - 1) is checked rather than
-assumed: a certificate proves that N is the order of x (x^N = 1 and
-x^(N/r) != 1 for every prime r dividing N).  Composite d decompose into
-prime powers q = p^e whose periods combine by LCM; each is the order of
-x in R_q, found from the distinct-degree factorisation of
-x^d - x^(d-1) - 1 mod p and lifted to p^e (``ring_order``).  Brute
-force advances the d-term window until it returns to all ones; it is
-the oracle, and it decides whenever the ring cannot (a failed
-certificate, a budget below N, or a factor of p^k - 1 that cannot be
-proven prime).  The period mod d, reduced mod d, is the shift by which
-a network of that many gates cycles its systems.
+1/(1 - z - z^d).  Every d decomposes into prime powers q = p^e whose
+periods combine by LCM, and each is found by one routine: from a known
+multiple n of the order, strip every prime r of n while x^(n/r) = 1
+(``order_from_multiple``).  For d = p^m the multiple is the expected
+period N = p^(m-1) * (p^(2m) - 1): when no prime of N can be stripped,
+that certifies N as the period.  For composite d, or when x^N != 1, the
+multiple comes from the distinct-degree factorisation of
+x^d - x^(d-1) - 1 mod p (``degree_multiple``).  For prime d, N = d^2 - 1
+is proven, and a different period raises.  Brute force advances the
+d-term window until it returns to all ones; it is the oracle, and it
+decides only a factor whose multiple cannot be factored into proven
+primes.  The period mod d, reduced mod d, is the shift by which a
+network of that many gates cycles its systems.
 """
 from __future__ import annotations
 
@@ -36,8 +37,8 @@ BUDGET_ENV_VAR = "SWAPNET_BUDGET"
 def predicted_cycle(p: int, m: int) -> int:
     """Expected period of the order-p^m sequence mod p^m.
 
-    For m = 1 this is the proven p^2 - 1; for m > 1 it is the value the
-    brute-force checks confirm instance by instance.
+    For m = 1 this is the proven p^2 - 1; for m > 1 it is the value that
+    ``cycle_length`` and ``verify_conjecture`` check instance by instance.
     """
     _check_prime(p)
     if m < 1:
@@ -141,94 +142,72 @@ def _report(d: int, length: int, per_factor, method: str, conjecture_ok=None) ->
     return CycleReport(d, length, tuple(per_factor), shift, perm, method, conjecture_ok)
 
 
-def has_order(d: int, q: int, n: int) -> bool:
-    """True iff x has multiplicative order exactly n in Z_q[x]/(x^d - x^(d-1) - 1)."""
+def order_from_multiple(d: int, q: int, n: int, primes: list[int]) -> int | None:
+    """Order of x in Z_q[x]/(x^d - x^(d-1) - 1), given a multiple n of it and the primes of n.
+
+    None when x^n != 1, so n is no multiple; otherwise each prime r is
+    removed from n while x^(n/r) = 1.
+    """
     if not ring.is_one(ring.x_power(n, d, q)):
-        return False
-    primes = [r for r, _ in Factorization.of(n).factors]
-    if any(ring.is_one(ring.x_power(n // r, d, q)) for r in primes):
-        return False
-    log.debug("order %d of x certified in the ring (d=%d, mod %d), %d primes checked",
-              n, d, q, len(primes))
-    return True
+        return None
+    for r in primes:
+        while n % r == 0 and ring.is_one(ring.x_power(n // r, d, q)):
+            n //= r
+    return n
+
+
+def degree_multiple(d: int, p: int, e: int) -> tuple[int, list[int]]:
+    """A multiple of the order of x mod p^e, for a prime p | d, and its primes.
+
+    f = x^d - x^(d-1) - 1 is squarefree mod p, so R_p is a product of
+    fields F_(p^k), one per irreducible factor of degree k, and the order
+    mod p divides lcm(p^k - 1); the kernel 1 + pR of the reduction from
+    p^e to p has exponent p^(e-1).  Each p^k - 1 is factored on its own.
+    """
+    _check_prime(p)
+    degrees = ring.distinct_degree(d, p)
+    primes = {p} if e > 1 else set()
+    for k in degrees:  # p^k - 1 > 1: f(1) = -1, so x - 1 never divides f
+        primes.update(r for r, _ in Factorization.of(p ** k - 1).factors)
+    return p ** (e - 1) * math.lcm(*(p ** k - 1 for k in degrees)), sorted(primes)
 
 
 def ring_order(d: int, p: int, e: int) -> int:
     """Multiplicative order of x in Z_(p^e)[x]/(x^d - x^(d-1) - 1), for a prime p | d.
 
-    f = x^d - x^(d-1) - 1 splits mod p into g_k, the products of its
-    degree-k irreducible factors; mod g_k the order of x divides p^k - 1
-    and is found by stripping each prime r while x^(n/r) = 1.  The order
-    mod p is the LCM over k, and the order mod p^e is that times the
-    least power of p (at most p^(e-1)) that brings x^n back to 1.
-    Raises FactoringError when some p^k - 1 cannot be factored into
-    proven primes.
+    For d = p^e the multiple tried first is the predicted period N; for
+    composite d, or when x^N != 1, it is ``degree_multiple``.  Raises
+    FactoringError when a multiple cannot be factored into proven primes.
     """
-    _check_prime(p)
-    n = 1
-    degrees = []
-    for k, g in ring.distinct_degree(d, p).items():
-        degrees += [k] * ((len(g) - 1) // k)
-        order = p ** k - 1  # > 1: f(1) = -1, so x - 1 never divides f
-        for r, _ in Factorization.of(order).factors:
-            while order % r == 0 and ring.poly_divmod(ring.x_power(order // r, d, p), g, p)[1] == [1]:
-                order //= r
-        n = math.lcm(n, order)
     q = p ** e
-    for lift in range(e):
-        if ring.is_one(ring.x_power(n, d, q)):
-            log.debug("d=%d, mod %d: factor degrees %s mod %d, order %d, lifted by %d^%d",
-                      d, q, degrees, p, n, p, lift)
-            return n
-        n *= p
-    raise VerificationError(f"x^{n} != 1 mod {q} (order {d}): no lift within {p}^{e - 1}")
+    order = None
+    if d == q:
+        n = predicted_cycle(p, e)
+        order = order_from_multiple(d, q, n, [r for r, _ in Factorization.of(n).factors])
+    if order is None:
+        n, primes = degree_multiple(d, p, e)
+        order = order_from_multiple(d, q, n, primes)
+        if order is None:
+            raise VerificationError(f"x^{n} != 1 mod {q} (order {d}): not a multiple of the order")
+    log.debug("d=%d, mod %d: order %d of x, from the multiple %d", d, q, order, n)
+    return order
 
 
 def cycle_length(d: int, budget: int | None = None) -> CycleReport:
-    """Period of the order-d sequence mod d, via per-prime-power runs.
+    """Period of the order-d sequence mod d, as the LCM of ``ring_order`` over q = p^e | d.
 
-    For d = p^m whose budget reaches the predicted period N, a ring
-    certificate that N is the order of x gives the report directly;
-    otherwise brute force runs, so a budget below N is still exhausted
-    at its own step count.  Brute-force prime-power results are
-    cross-checked against N: a mismatch for prime d is impossible and
-    raises; for m > 1 it is recorded in ``conjecture_ok``.
-
-    For composite d each factor's period is ``ring_order``.  An explicit
-    budget (the argument, or else SWAPNET_BUDGET) keeps its brute-force
-    meaning: a factor whose period exceeds it is inconclusive after that
-    many steps.  Without one the ring decides with no step limit.  When
-    factoring fails, brute force decides that factor under the default
-    budget.
+    The cap on each factor's period is the budget; for composite d
+    without one it is SWAPNET_BUDGET, if set.  A factor above the cap is
+    inconclusive after that many steps, as brute force would be.  When
+    factoring fails, brute force decides that factor under the budget or
+    ``default_budget``.  For d = p^m the period is compared with the
+    predicted N: a mismatch for prime d is impossible and raises; for
+    m > 1 it is recorded in ``conjecture_ok``.
     """
     f = Factorization.of(d)
-    if f.is_prime_power:
-        p, m = f.factors[0]
-        expected = predicted_cycle(p, m)
-        b = budget if budget is not None else default_budget(d, d)
-        if b >= expected:
-            try:
-                certified = has_order(d, d, expected)
-            except FactoringError as exc:
-                log.info("d=%d: cannot factor %d, brute force decides", d, exc.cofactor)
-            else:
-                if certified:
-                    return _report(d, expected, [(d, expected)], "predicted-and-verified",
-                                   None if m == 1 else True)
-                log.info("d=%d: ring certificate for %d failed, brute force decides", d, expected)
-        length = cycle_length_direct(d, d, b)
-        if m == 1:
-            if length != expected:
-                raise VerificationError(
-                    f"prime d={d}: measured period {length} != d^2-1 = {expected}"
-                )
-            return _report(d, length, [(d, length)], "predicted-and-verified")
-        ok = length == expected
-        method = "predicted-and-verified" if ok else "direct"
-        return _report(d, length, [(d, length)], method, conjecture_ok=ok)
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
-    cap = budget if budget is not None else env_budget()
+    cap = budget if budget is not None or f.is_prime_power else env_budget()
     per_factor = []
     for p, e in f.factors:
         q = p ** e
@@ -236,20 +215,22 @@ def cycle_length(d: int, budget: int | None = None) -> CycleReport:
             length = ring_order(d, p, e)
         except FactoringError as exc:
             log.info("d=%d, mod %d: cannot factor %d, brute force decides", d, q, exc.cofactor)
-            length = cycle_length_direct(d, q, cap or DEFAULT_STEP_BUDGET)
+            length = cycle_length_direct(d, q, budget or default_budget(d, q))
         if cap is not None and length > cap:
             raise InconclusiveError(
                 f"no window return within {cap} steps (order {d}, mod {q})", steps=cap
             )
         per_factor.append((q, length))
-    return _report(d, math.lcm(*(ln for _, ln in per_factor)), per_factor, "composed")
-
-
-def cycle_report_direct(d: int, budget: int | None = None) -> CycleReport:
-    """Single-run report measured mod d itself, without factorizing."""
-    b = budget if budget is not None else default_budget(d, d)
-    length = cycle_length_direct(d, d, b)
-    return _report(d, length, [(d, length)], "direct")
+    length = math.lcm(*(ln for _, ln in per_factor))
+    if not f.is_prime_power:
+        return _report(d, length, per_factor, "composed")
+    p, m = f.factors[0]
+    expected = predicted_cycle(p, m)
+    if m == 1 and length != expected:
+        raise VerificationError(f"prime d={d}: measured period {length} != d^2-1 = {expected}")
+    ok = length == expected
+    return _report(d, length, per_factor, "predicted-and-verified" if ok else "direct",
+                   None if m == 1 else ok)
 
 
 def verify_conjecture(p: int, m: int, budget: int | None = None) -> bool:

@@ -425,5 +425,6 @@ def parse_circuit(text: str) -> Circuit:
                 raise SwapnetError(f"malformed gate line: {ln!r}")
             gates.append(Gate(int(parts[1]), int(parts[2])))
         return Circuit(d, n, tuple(gates))
-    except ValueError as exc:  # bad integers, and what Gate and Circuit refuse
+    # bad integers, what Gate and Circuit refuse, and JSON nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise SwapnetError(f"bad circuit: {exc}") from exc

@@ -233,13 +233,23 @@ class TestSimulate:
         "DIM 3 SYSTEMS 3\nCNOT 0 7",
         '{"d":1,"systems":3,"gates":[]}',
         '{"d":3,"systems":3,"gates":[[0,0]]}',
+        b"\xff\xfeDIM 3 SYSTEMS 3",  # not ASCII
     ])
     def test_numeric_circuit_faults_exit_1(self, capsys, tmp_path, text):
         path = tmp_path / "c.txt"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "000")
         assert code == 1 and out == ""
         assert err.startswith("error: bad circuit: ")
+
+    def test_deeply_nested_json_exit_1(self, child_env, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"d":3,"systems":3,"gates":' + "[" * 100000)
+        proc = subprocess.run([sys.executable, "-m", "swapnet", "simulate", "--circuit", str(path),
+                               "--state", "000"], capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: bad circuit: ")
+        assert "Traceback" not in proc.stderr
 
     def test_state_size_budget_exit_1(self, capsys, tmp_path):
         path = tmp_path / "c.txt"

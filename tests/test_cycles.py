@@ -16,7 +16,6 @@ from swapnet.cycles import (
     ScanFailure,
     cycle_length,
     cycle_length_direct,
-    cycle_report_direct,
     predicted_cycle,
     scan,
     scan_csv,
@@ -167,17 +166,13 @@ class TestCycleLength:
         # d = 10 is gated below: its direct period is LCM(889, 1953124),
         # about 1.7e9 steps of brute force
         for d in (6, 12):
-            composed = cycle_length(d)
-            direct = cycle_report_direct(d, budget=10 ** 7)
-            assert direct.length == composed.length
-            assert direct.method == "direct"
+            assert cycle_length_direct(d, d, 10 ** 7) == cycle_length(d).length
 
     @pytest.mark.skipif(not os.environ.get("SWAPNET_LONG"),
                         reason="set SWAPNET_LONG=1 for the ~1.7e9-step run")
     def test_composition_d10_long(self):
         composed = cycle_length(10)
-        direct = cycle_report_direct(10, budget=2 * composed.length)
-        assert direct.length == composed.length
+        assert cycle_length_direct(10, 10, 2 * composed.length) == composed.length
 
     def test_d12_factors(self):
         report = cycle_length(12)
@@ -333,7 +328,7 @@ def _no_brute_force(*args):
 
 
 class TestRingCertificate:
-    """The prime-power route: x^N = 1 and x^(N/r) != 1 in Z_d[x]/(x^d - x^(d-1) - 1)."""
+    """The prime-power multiple: x^N = 1 and x^(N/r) != 1 in Z_d[x]/(x^d - x^(d-1) - 1)."""
 
     SMALL = [d for d in range(2, 41) if Factorization.of(d).is_prime_power
              and predicted_cycle(*Factorization.of(d).factors[0]) <= 3 * 10 ** 6]
@@ -352,11 +347,16 @@ class TestRingCertificate:
     @pytest.mark.parametrize("d", SMALL)
     def test_wrong_orders_rejected(self, d):
         n = predicted_cycle(*Factorization.of(d).factors[0])
-        assert cycles.has_order(d, d, n)
-        assert not cycles.has_order(d, d, 2 * n)
-        assert not cycles.has_order(d, d, n + 1)
+
+        def order(k, primes_of):
+            primes = [r for r, _ in Factorization.of(primes_of).factors]
+            return cycles.order_from_multiple(d, d, k, primes)
+
+        assert order(n, n) == n
+        assert order(2 * n, 2 * n) == n  # a multiple, stripped to the order
+        assert order(n + 1, n + 1) is None  # x^(N+1) = x
         for r, _ in Factorization.of(n).factors:
-            assert not cycles.has_order(d, d, n // r)
+            assert order(n // r, n) is None
 
     @pytest.mark.parametrize("d", [343, 729, 1024, 3125])
     def test_large_prime_powers_without_brute_force(self, monkeypatch, d):
@@ -367,33 +367,27 @@ class TestRingCertificate:
         assert report.method == "predicted-and-verified"
         assert report.conjecture_ok is True
 
-    def test_budget_below_period_runs_brute_force(self, monkeypatch):
-        with pytest.raises(InconclusiveError) as info:
-            cycle_length(9, budget=239)
-        assert info.value.steps == 239
+    def test_wrong_predictions_keep_the_verdicts(self, monkeypatch):
+        # 2N is a multiple, stripped to the true order; x^(N+1) = x != 1 hands the
+        # factor to the degree multiple.  Either way the ring measures the true
+        # period and the report records the mismatch, without brute force
         monkeypatch.setattr(cycles, "first_window_return", _no_brute_force)
-        assert cycle_length(9, budget=240).length == 240
-
-    def test_failed_certificate_leaves_the_verdict_to_brute_force(self, monkeypatch, caplog):
-        # a doubled prediction fails the certificate (x^(2N/2) = 1); brute force
-        # then measures the true period and records the mismatch
         true_cycle = cycles.predicted_cycle
-        monkeypatch.setattr(cycles, "predicted_cycle", lambda p, m: 2 * true_cycle(p, m))
-        with caplog.at_level(logging.INFO, logger="swapnet.cycles"):
+        for wrong in (lambda n: 2 * n, lambda n: n + 1):
+            monkeypatch.setattr(cycles, "predicted_cycle",
+                                lambda p, m, w=wrong: w(true_cycle(p, m)))
             report = cycle_length(8)
-        assert (report.length, report.method, report.conjecture_ok) == (252, "direct", False)
-        assert [r.levelno for r in caplog.records] == [logging.INFO]
-        assert "d=8" in caplog.records[0].getMessage()
-        with pytest.raises(VerificationError):
-            cycle_length(7)
+            assert (report.length, report.method, report.conjecture_ok) == (252, "direct", False)
+            with pytest.raises(VerificationError):
+                cycle_length(7)
 
     def test_certified_period_is_logged(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="swapnet.cycles"):
             cycle_length(25)
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
-        # 3120 = 2^4 * 3 * 5 * 13
-        assert record.args == (3120, 25, 25, 4)
+        # (d, q, order, multiple): N = 3120 = 2^4 * 3 * 5 * 13, no prime stripped
+        assert record.args == (25, 25, 3120, 3120)
 
     def test_default_route_logs_nothing_visible(self, caplog):
         with caplog.at_level(logging.INFO, logger="swapnet.cycles"):
@@ -410,7 +404,7 @@ COMPOSITE = [d for d in range(4, 34) if not Factorization.of(d).is_prime_power]
 
 
 class TestRingOrder:
-    """Composite d: the order of x mod p^e from distinct-degree factorisation."""
+    """Composite d: the order of x mod p^e from the distinct-degree multiple."""
 
     @pytest.mark.parametrize("d,p,e", SMALL_FACTORS)
     def test_agrees_with_brute_force(self, d, p, e):
@@ -445,9 +439,10 @@ class TestRingOrder:
 
     @pytest.mark.parametrize("d", [d for d in range(2, 65) if Factorization.of(d).is_prime_power])
     def test_prime_powers_match_the_prediction(self, d):
-        # a second algebraic route to p^(m-1) * (p^(2m) - 1), besides has_order
+        # a second algebraic route to p^(m-1) * (p^(2m) - 1), besides its certificate
         p, m = Factorization.of(d).factors[0]
-        assert cycles.ring_order(d, p, m) == predicted_cycle(p, m)
+        n, primes = cycles.degree_multiple(d, p, m)
+        assert cycles.order_from_multiple(d, d, n, primes) == predicted_cycle(p, m)
 
     def test_rejects_a_prime_not_dividing_d(self):
         with pytest.raises(ValueError):
@@ -479,15 +474,22 @@ class TestRingOrder:
         with caplog.at_level(logging.DEBUG, logger="swapnet.cycles"):
             cycle_length(10)
         assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
-        # (d, q, degrees, p, order, p, lift)
+        # (d, q, order, multiple): degrees 3, 7 mod 2 and 1, 9 mod 5
         assert [r.args for r in caplog.records] == [
-            (10, 2, [3, 7], 2, 889, 2, 0),
-            (10, 5, [1, 9], 5, 1953124, 5, 0),
+            (10, 2, 889, 889),
+            (10, 5, 1953124, 1953124),
         ]
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="swapnet.cycles"):
             cycle_length(12)
-        assert caplog.records[0].args == (12, 4, [3, 4, 5], 2, 6510, 2, 1)
+            cycle_length(14)
+        # 6510 = 2 * lcm(2^3 - 1, 2^4 - 1, 2^5 - 1); mod 7 one factor 2 is stripped
+        assert [r.args for r in caplog.records] == [
+            (12, 4, 6510, 6510),
+            (12, 3, 6560, 6560),
+            (14, 2, 11811, 11811),
+            (14, 7, 164766024, 329532048),
+        ]
 
 
 def _brute_force_outcome(d, budget):
@@ -509,9 +511,9 @@ def _outcome(d, budget):
 
 
 class TestCompositeBudget:
-    """An explicit budget keeps its brute-force meaning on the ring route."""
+    """An explicit budget keeps its brute-force meaning on the ring route, prime powers included."""
 
-    @pytest.mark.parametrize("d", [6, 10, 12])
+    @pytest.mark.parametrize("d", [4, 6, 8, 9, 10, 12, 25])
     def test_budget_edges_match_brute_force(self, monkeypatch, d):
         orders = [ln for _, ln in cycle_length(d).per_factor]
         budgets = sorted({b for n in orders for b in (n - 1, n)})
@@ -536,8 +538,9 @@ class TestCompositeBudget:
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_is_a_usage_error(self, budget):
-        with pytest.raises(ValueError, match="budget must be >= 1"):
-            cycle_length(6, budget)
+        for d in (6, 9):
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                cycle_length(d, budget)
 
 
 class TestFactoringFallback:
