@@ -86,7 +86,7 @@ def cmd_swap(args) -> int:
             "d": args.d,
             "kind": verdict.kind,
             "shift": verdict.shift,
-            "permutation": list(verdict.permutation) if verdict.permutation else None,
+            "permutation": list(verdict.permutation),
             "gates": verdict.gate_count,
         })
     else:
@@ -119,16 +119,20 @@ def cmd_trace(args) -> int:
 
 def _parse_state(spec: str, d: int, n: int) -> network.StateVector:
     tokens = spec.split()
-    if tokens and tokens[0] == "random":
-        seed = 0
-        rest = tokens[1:]
-        if rest[:1] == ["--seed"] and len(rest) == 2:
-            seed = int(rest[1])
-        elif rest:
-            raise SwapnetError(f"bad state spec {spec!r}: expected 'random --seed K'")
-        return network.StateVector.random(d, n, seed)
-    if len(tokens) == 1 and tokens[0].isdigit():
-        return network.StateVector.basis(d, n, tokens[0])
+    try:
+        if tokens and tokens[0] == "random":
+            seed = 0
+            rest = tokens[1:]
+            if rest[:1] == ["--seed"] and len(rest) == 2:
+                seed = int(rest[1])
+            elif rest:
+                raise SwapnetError(f"bad state spec {spec!r}: expected 'random --seed K'")
+            return network.StateVector.random(d, n, seed)
+        if len(tokens) == 1 and tokens[0].isdigit():
+            return network.StateVector.basis(d, n, tokens[0])
+    # a bad seed or digits that do not fit the circuit: a state fault, not a usage error
+    except ValueError as exc:
+        raise SwapnetError(f"bad state spec {spec!r}: {exc}") from exc
     raise SwapnetError(f"bad state spec {spec!r}: digit string or 'random --seed K'")
 
 
@@ -251,7 +255,9 @@ def _check_basis_agreement():
 
 def _check_shift_consistency():
     for d in range(2, 10):
-        assert network.verify_swap(d).shift == cycles.cycle_length(d).shift
+        verdict = network.verify_swap(d)
+        sigma = network.trace_array(d, verdict.gate_count).linear_map().permutation()
+        assert sigma is not None and verdict.permutation == tuple(map(sigma.index, range(d))), d
 
 
 def _check_trace_row():

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cycles
 from .errors import SizeBudgetError, SwapnetError
-from .seqcore import _check_modulus
+from .seqcore import _check_modulus, seq_stream
 
 OPERATOR_SIZE_LIMIT = 10 ** 6
 TRACE_LIMIT = 10 ** 7
@@ -102,17 +102,6 @@ class LinearMapZd:
             return None
         return tuple(sigma)
 
-    def cyclic_shift(self) -> int | None:
-        """s such that output system i holds input digit (i - s) mod n, if any."""
-        sigma = self.permutation()
-        if sigma is None:
-            return None
-        n = len(sigma)
-        s = (0 - sigma[0]) % n
-        if all(sigma[i] == (i - s) % n for i in range(n)):
-            return s
-        return None
-
 
 def linear_map(circuit: Circuit) -> LinearMapZd:
     """Compose all gates into one matrix over Z_d (identity if empty)."""
@@ -183,12 +172,10 @@ def trace_array(d: int, T: int) -> TraceArray:
         raise ValueError("T must be >= 0")
     if T + 2 * d - 1 > TRACE_LIMIT:
         raise SizeBudgetError(f"{T + 2 * d - 1} trace coefficients exceed the {TRACE_LIMIT} limit")
-    # the unit columns at t <= 0 put ones in row 0 at t = -d and t = 0
-    row0 = [0] * (2 * d - 1)
-    row0[d - 2] = row0[-1] = 1
-    for _ in range(T):
-        row0.append((row0[-1] + row0[-d]) % d)
-    return TraceArray(d, tuple(row0))
+    # the unit columns at t <= 0 put a one in row 0 at t = -d; from t = 0 on,
+    # row 0 obeys the recurrence from d ones, so it is the sequence mod d
+    prefix = [0] * (d - 2) + [1] + [0] * (d - 1)
+    return TraceArray(d, tuple(prefix + seq_stream(d, d, T + 1)))
 
 
 def _check_size(d: int, n: int) -> None:
@@ -344,8 +331,8 @@ class SwapVerdict:
     """
 
     kind: str
-    shift: int | None
-    permutation: tuple[int, ...] | None
+    shift: int
+    permutation: tuple[int, ...]
     gate_count: int
 
     def describe(self) -> str:
@@ -355,33 +342,31 @@ class SwapVerdict:
             return f"IDENTITY: shift 0, {self.gate_count} gates"
         if self.kind == "grouped":
             return f"GROUPED: shift {self.shift}, {self.gate_count} gates"
-        return f"OTHER: permutation {list(self.permutation or ())}, {self.gate_count} gates"
+        return f"OTHER: permutation {list(self.permutation)}, {self.gate_count} gates"
 
 
 def verify_swap(d: int, budget: int | None = None) -> SwapVerdict:
-    """Classify the linear map of one full cycle, read off its trace row."""
+    """Classify one full cycle of N gates, N the certified period mod d.
+
+    Row 0 of the trace is the sequence mod d from t = -2(d-1) on, so
+    after N gates every column equals the unit column N steps earlier:
+    the cycle's map is the cyclic shift by N mod d, which the cycle
+    report already holds.  The trace row and the gates are its oracles.
+    """
     report = cycles.cycle_length(d, budget)
-    mapping = trace_array(d, report.length).linear_map()
-    shift = mapping.cyclic_shift()
-    if shift is None:
-        sigma = mapping.permutation()
-        dest = None
-        if sigma is not None:
-            dest = tuple(sigma.index(i) for i in range(d))
-        return SwapVerdict("other", None, dest, report.length)
-    dest = tuple((i + shift) % d for i in range(d))
+    shift = report.shift
+    kind = "other"
     if shift == 0:
         kind = "identity"
     elif shift == d - 1:
         kind = "swap"
     else:
         f = cycles.Factorization.of(d)
-        kind = "other"
         if f.is_prime_power:
             p, m = f.factors[0]
-            if m > 1 and shift == (d - p ** (m - 1)) % d:
+            if m > 1 and shift == d - p ** (m - 1):
                 kind = "grouped"
-    return SwapVerdict(kind, shift, dest, report.length)
+    return SwapVerdict(kind, shift, report.permutation, report.length)
 
 
 def export_circuit(circuit: Circuit, format: str = "gatelist") -> str:
@@ -405,11 +390,12 @@ def parse_circuit(text: str) -> Circuit:
     try:
         if text.lstrip().startswith("{"):
             doc = json.loads(text)
-            if not (isinstance(doc.get("d"), int) and isinstance(doc.get("systems"), int)
+            # type(...) is int: JSON true/false load as bool, a subclass of int
+            if not (type(doc.get("d")) is int and type(doc.get("systems")) is int
                     and isinstance(doc.get("gates"), list)):
                 raise SwapnetError("circuit JSON needs integers 'd' and 'systems' and a 'gates' list")
             for g in doc["gates"]:
-                if not (isinstance(g, list) and len(g) == 2 and all(isinstance(v, int) for v in g)):
+                if not (isinstance(g, list) and len(g) == 2 and all(type(v) is int for v in g)):
                     raise SwapnetError(f"malformed gate: {g!r}")
             gates = tuple(Gate(c, t) for c, t in doc["gates"])
             return Circuit(doc["d"], doc["systems"], gates)

@@ -21,6 +21,7 @@ from swapnet.network import (
     linear_map,
     random_qudit,
     simulate,
+    trace_array,
     verify_swap,
 )
 from swapnet.seqcore import (
@@ -181,13 +182,14 @@ def test_criterion_8_property_suite():
                 assert lu_tsai_period(p, a, k, 3 * predicted) == predicted
 
 
-@criterion(9, "network-measured shift equals the cycle-module shift for every d <= 9")
+@criterion(9, "the swap verdict equals the map read off the trace row for every d <= 9")
 def test_criterion_9_cross_module_consistency():
     for d in range(2, 10):
-        network_shift = verify_swap(d).shift
-        report = cycle_length(d)
-        assert network_shift == report.shift, f"d={d}"
-        assert verify_swap(d).permutation == report.permutation
+        verdict = verify_swap(d)
+        sigma = trace_array(d, verdict.gate_count).linear_map().permutation()
+        assert sigma is not None, f"d={d}"
+        assert verdict.permutation == tuple(sigma.index(i) for i in range(d)), f"d={d}"
+        assert verdict.shift == cycle_length(d).shift
 
 
 @criterion(4, "closed-form comparison helper agrees at the printed prefixes")

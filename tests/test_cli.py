@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 import json
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ from swapnet.cli import main
 from swapnet.network import build_cyclic_network, export_circuit
 
 SEQ_D4 = "1,1,1,1,2,3,4,5,7,10,14,19,26,36,50,69,95,131,181,250,345,476,657,907,1252,1728"
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -134,10 +136,19 @@ class TestSwap:
         assert code == 0
         assert out == "IDENTITY: shift 0, 4270560 gates\n"
 
+    @pytest.mark.parametrize("d, line", [
+        ("10", "OTHER: permutation [6, 7, 8, 9, 0, 1, 2, 3, 4, 5], 1736327236 gates"),
+        ("3125", "GROUPED: shift 2500, 6103515000 gates"),
+    ])
+    def test_cycles_past_the_trace_limit(self, capsys, d, line):
+        code, out, err = run_cli(capsys, "swap", "--d", d)
+        assert code == 0 and err == ""
+        assert out == line + "\n"
+
 
 class TestSizeLimits:
     @pytest.mark.parametrize("argv", [
-        ["swap", "--d", "10"],
+        ["trace", "--d", "10", "--steps", "1736327236"],  # one full d=10 cycle
         ["trace", "--d", "5", "--steps", "100000000"],
     ])
     def test_beyond_trace_limit_exit_1(self, child_env, argv):
@@ -209,15 +220,19 @@ class TestSimulate:
 
     def test_bad_state_spec(self, capsys, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text(export_circuit(build_cyclic_network(2, 1)))
-        code, _, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "xyz")
-        assert code == 1
-        assert "state spec" in err
+        path.write_text(export_circuit(build_cyclic_network(2, 1)))  # two qubits
+        for spec in ("xyz", "9 9", "random --seed", "random --seed x", "random --seed -1",
+                     "012", "02"):
+            code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", spec)
+            assert code == 1 and out == "", spec
+            assert err.startswith(f"error: bad state spec {spec!r}: ")
 
     @pytest.mark.parametrize("text", [
         '{"d":3,"systems":3}',
         '{"d":3,"systems":3,"gates":5}',
         '{"d":3,"systems":3,"gates":[[0,1,2]]}',
+        '{"d": 3, "systems": 3, "gates": [[true, false], [0, 2]]}',
+        '{"d": 3, "systems": true, "gates": []}',
     ])
     def test_bad_json_schema_exit_1(self, capsys, tmp_path, text):
         path = tmp_path / "c.json"
@@ -348,6 +363,26 @@ class TestHarness:
         code, out, err = run_cli(capsys, "cycle", "--d", "10")
         assert code == 2 and out == ""
         assert "SWAPNET_BUDGET" in err
+
+    def test_readme_examples(self, child_env):
+        # each '$ swapnet ...' line in README's CLI section, with the lines up
+        # to the next blank line as its exact stdout
+        section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1].split("\n## ")[0]
+        examples, out = [], None
+        for line in section.splitlines():
+            if line.startswith("$ swapnet "):
+                out = []
+                examples.append((line.split()[2:], out))
+            elif out is not None and line and not line.startswith("```"):
+                out.append(line + "\n")
+            else:
+                out = None
+        assert len(examples) >= 3
+        for argv, lines in examples:
+            proc = subprocess.run([sys.executable, "-m", "swapnet", *argv],
+                                  capture_output=True, env=child_env)
+            assert proc.returncode == 0 and proc.stderr == b"", argv
+            assert proc.stdout == "".join(lines).encode("ascii"), argv
 
     def test_env_budget_default(self, child_env):
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 """Tests for circuits, linear maps, trace arrays, and simulation."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from swapnet import network
 from swapnet.errors import SizeBudgetError, SwapnetError
-from swapnet.cycles import cycle_length
+from swapnet.cycles import cycle_length, cycle_length_direct
 from swapnet.network import (
     GATE_LIMIT,
     TRACE_LIMIT,
@@ -28,7 +29,7 @@ from swapnet.network import (
     trace_array,
     verify_swap,
 )
-from swapnet.seqcore import seq_stream
+from swapnet.seqcore import term_mod
 
 # top coefficient row of the worked dimension-4 array, first 30 columns
 D4_ROW0 = [0, 0, 0, 1, 1, 1, 1, 2, 3, 0, 1, 3, 2, 2, 3, 2, 0, 2, 1, 3,
@@ -78,7 +79,7 @@ class TestLinearMap:
     def test_identity_for_empty_circuit(self):
         m = linear_map(Circuit(4, 4))
         assert np.array_equal(m.matrix, np.eye(4, dtype=int))
-        assert m.cyclic_shift() == 0
+        assert m.permutation() == (0, 1, 2, 3)
 
     def test_single_gate(self):
         m = linear_map(Circuit(3, 3, (Gate(0, 1),)))
@@ -88,7 +89,6 @@ class TestLinearMap:
     def test_qutrit_cycle_shifts_by_one(self):
         m = linear_map(build_cyclic_network(3, 8))
         assert m.permutation() == (1, 2, 0)  # system i ends holding digit i+1
-        assert m.cyclic_shift() == 2
 
     def test_d4_transposition_matrix(self):
         m = linear_map(build_cyclic_network(4, 30))
@@ -134,11 +134,10 @@ class TestTraceArray:
             assert rows[i][:-1] == rows[i + 1][1:]
 
     def test_header_reproduces_sequence(self):
+        # the row is built from seq_stream, so the ring is the second route
         for d in (2, 3, 4, 6):
-            arr = trace_array(d, 40)
-            header = arr.header()
-            stream = seq_stream(d, d, len(header))
-            assert header == [int(r) for r in stream]
+            header = trace_array(d, 40).header()
+            assert header == [term_mod(j, d, d) for j in range(len(header))]
 
     def test_header_with_custom_digits(self):
         arr = trace_array(4, 1)
@@ -334,6 +333,23 @@ class TestFullOperator:
         assert swap == "0 1\n1 0\n"
 
 
+# which kind of cycle verify_swap finds for each d <= 43; grouped has shift d - d/p
+SWAP_CENSUS = {
+    "swap": (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43),
+    "grouped": (4, 8, 9, 16, 25, 27, 32),
+    "identity": (6, 12, 26, 33),
+    "other": (10, 14, 15, 18, 20, 21, 22, 24, 28, 30, 34, 35, 36, 38, 39, 40, 42),
+}
+
+
+def refuse_row_and_gates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_swap must read neither the trace row nor the gates")
+
+    for name in ("trace_array", "build_cyclic_network", "linear_map"):
+        monkeypatch.setattr(network, name, refuse)
+
+
 class TestVerifySwap:
     def test_d5_swap(self):
         verdict = verify_swap(5)
@@ -362,20 +378,48 @@ class TestVerifySwap:
         assert verdict.kind == "identity"
         assert verdict.gate_count == 6552
 
-    @pytest.mark.parametrize("d", range(2, 10))
+    # every d <= 43 whose cycle has at most 10^7 gates, and prime powers up to 125
+    @pytest.mark.parametrize("d", [*range(2, 10), 11, 12, 13, 16, 17, 19, 23, 25, 27, 29,
+                                   31, 32, 37, 41, 43, 49, 64, 81, 121, 125])
     def test_shift_matches_cycle_module(self, d):
-        assert verify_swap(d).shift == cycle_length(d).shift
+        # the verdict from the certified period against the map read off the
+        # trace row, and off the gates where the cycle is short enough to build
+        verdict = verify_swap(d)
+        assert verdict.gate_count <= 10 ** 7
+        row_map = trace_array(d, verdict.gate_count).linear_map()
+        sigma = row_map.permutation()
+        assert sigma is not None
+        assert verdict.permutation == tuple(sigma.index(i) for i in range(d))
+        assert verdict.shift == verdict.permutation[0]
+        if verdict.gate_count <= 10 ** 5:
+            gate_map = linear_map(build_cyclic_network(d, verdict.gate_count))
+            assert np.array_equal(gate_map.matrix, row_map.matrix)
 
     def test_d125_builds_no_gates(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("verify_swap must not go through the gate path")
-
-        monkeypatch.setattr(network, "build_cyclic_network", refuse)
-        monkeypatch.setattr(network, "linear_map", refuse)
+        refuse_row_and_gates(monkeypatch)
         verdict = verify_swap(125)
         assert verdict.kind == "grouped"
         assert verdict.shift == 100
         assert verdict.gate_count == 390600
+
+    def test_d10_shift_from_factor_periods(self, monkeypatch):
+        refuse_row_and_gates(monkeypatch)
+        verdict = verify_swap(10)
+        assert verdict.kind == "other" and verdict.gate_count == 1736327236
+        # brute force gives the periods mod 2 and mod 5; the shift is their LCM mod 10
+        periods = cycle_length_direct(10, 2, 10 ** 3), cycle_length_direct(10, 5, 2 * 10 ** 6)
+        assert periods == (889, 1953124)
+        assert verdict.shift == math.lcm(*periods) % 10 == 6
+        assert verdict.permutation == (6, 7, 8, 9, 0, 1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("d", range(2, 44))
+    def test_census_up_to_43(self, d):
+        verdict = verify_swap(d)
+        kind = next(k for k, dims in SWAP_CENSUS.items() if d in dims)
+        assert verdict.kind == kind
+        if kind == "grouped":
+            p = next(q for q in range(2, d + 1) if d % q == 0)
+            assert verdict.shift == d - d // p
 
     def test_partial_cycle_is_other(self):
         # half a cycle of the qutrit network is not a digit permutation
@@ -405,6 +449,8 @@ class TestSerialization:
         '{"d":3,"systems":3}',
         '{"d":3,"systems":3,"gates":5}',
         '{"d":3,"systems":3,"gates":[[0,1,2]]}',
+        '{"d": 3, "systems": 3, "gates": [[true, false], [0, 2]]}',
+        '{"d": 3, "systems": true, "gates": []}',
     ])
     def test_parse_rejects_bad_json_schema(self, text):
         with pytest.raises(SwapnetError):
