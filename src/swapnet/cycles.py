@@ -10,11 +10,12 @@ period N = p^(m-1) * (p^(2m) - 1): when no prime of N can be stripped,
 that certifies N as the period.  For composite d, or when x^N != 1, the
 multiple comes from the distinct-degree factorisation of
 x^d - x^(d-1) - 1 mod p (``degree_multiple``).  For prime d, N = d^2 - 1
-is proven, and a different period raises.  Brute force advances the
-d-term window until it returns to all ones; it is the oracle, and it
-decides only a factor whose multiple cannot be factored into proven
-primes.  The period mod d, reduced mod d, is the shift by which a
-network of that many gates cycles its systems.
+is proven, and a different period raises.  A factor whose multiple
+cannot be factored into proven primes is inconclusive, naming the
+cofactor.  Brute force advances the d-term window until it returns to
+all ones; it is only the oracle (``cycle_length_direct``,
+``verify_conjecture``).  The period mod d, reduced mod d, is the shift
+by which a network of that many gates cycles its systems.
 """
 from __future__ import annotations
 
@@ -25,12 +26,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import ring
-from .errors import FactoringError, InconclusiveError, VerificationError
+from .errors import FactoringError, InconclusiveError, SizeBudgetError, VerificationError
 from .seqcore import Factorization, _check_prime, first_window_return
 
 log = logging.getLogger(__name__)
 
-DEFAULT_STEP_BUDGET = 10 ** 8
+RING_LIMIT = 10 ** 6  # largest order d whose ring is built
 BUDGET_ENV_VAR = "SWAPNET_BUDGET"
 
 
@@ -61,20 +62,6 @@ def env_budget() -> int | None:
     if value < 1:
         raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {env!r}")
     return value
-
-
-def default_budget(order: int, modulus: int) -> int:
-    """Step budget used when the caller does not supply one.
-
-    Twice the predicted period when the order equals a prime-power
-    modulus; otherwise the SWAPNET_BUDGET environment value or 10^8.
-    """
-    if order == modulus:
-        f = Factorization.of(modulus)
-        if f.is_prime_power:
-            p, m = f.factors[0]
-            return 2 * predicted_cycle(p, m)
-    return env_budget() or DEFAULT_STEP_BUDGET
 
 
 def cycle_length_direct(d: int, m: int, budget: int) -> int:
@@ -126,7 +113,7 @@ class CycleReport:
 
 @dataclass(frozen=True)
 class ScanFailure:
-    """Placeholder for a dimension whose search ran out of budget."""
+    """Placeholder for a dimension left undecided: over its cap, or unfactored (budget 0)."""
 
     d: int
     budget: int
@@ -196,26 +183,28 @@ def ring_order(d: int, p: int, e: int) -> int:
 def cycle_length(d: int, budget: int | None = None) -> CycleReport:
     """Period of the order-d sequence mod d, as the LCM of ``ring_order`` over q = p^e | d.
 
-    The cap on each factor's period is the budget; for composite d
-    without one it is SWAPNET_BUDGET, if set.  A factor above the cap is
-    inconclusive after that many steps, as brute force would be.  When
-    factoring fails, brute force decides that factor under the budget or
-    ``default_budget``.  For d = p^m the period is compared with the
-    predicted N: a mismatch for prime d is impossible and raises; for
-    m > 1 it is recorded in ``conjecture_ok``.
+    The cap on each factor's period is the budget, else SWAPNET_BUDGET
+    if set.  A factor above the cap is inconclusive after that many
+    steps, as brute force would be; a factor whose multiple cannot be
+    factored is inconclusive after 0 steps, and the message names the
+    cofactor.  d above RING_LIMIT is refused before any work.  For
+    d = p^m the period is compared with the predicted N: a mismatch for
+    prime d is impossible and raises; for m > 1 it is recorded in
+    ``conjecture_ok``.
     """
+    if d > RING_LIMIT:
+        raise SizeBudgetError(f"order {d} exceeds the {RING_LIMIT} ring limit")
     f = Factorization.of(d)
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
-    cap = budget if budget is not None or f.is_prime_power else env_budget()
+    cap = budget if budget is not None else env_budget()
     per_factor = []
     for p, e in f.factors:
         q = p ** e
         try:
             length = ring_order(d, p, e)
         except FactoringError as exc:
-            log.info("d=%d, mod %d: cannot factor %d, brute force decides", d, q, exc.cofactor)
-            length = cycle_length_direct(d, q, budget or default_budget(d, q))
+            raise InconclusiveError(f"{exc} (order {d}, mod {q})", steps=0) from exc
         if cap is not None and length > cap:
             raise InconclusiveError(
                 f"no window return within {cap} steps (order {d}, mod {q})", steps=cap
@@ -262,10 +251,13 @@ def scan(max_n: int, budget: int | None = None, jobs: int = 1) -> list[CycleRepo
     Budget exhaustion for one dimension yields a ScanFailure entry and
     never aborts the rest.  ``jobs`` > 1 distributes dimensions across
     worker processes, at most one per dimension and per CPU; each
-    dimension is computed sequentially.
+    dimension is computed sequentially.  max_n above RING_LIMIT is
+    refused before any dimension runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if max_n > RING_LIMIT:
+        raise SizeBudgetError(f"dimensions up to {max_n} exceed the {RING_LIMIT} ring limit")
     dims = list(range(2, max_n + 1))
     workers = min(jobs, len(dims), os.cpu_count() or 1)
     if workers > 1:

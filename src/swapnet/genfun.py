@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MismatchError, NumericError
+from .errors import MismatchError, NumericError, SizeBudgetError
 from .seqcore import exact_sequence, term_exact
 
 ROOT_TOL = 1e-12
 ROOT_MAX_ITER = 2000
 DISTINCT_TOL = 1e-9
 IMAG_TOL = 1e-6
+DEGREE_LIMIT = 10 ** 6  # largest order n whose denominator is built
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,14 @@ class Polynomial:
 
 
 def series_denominator(n: int) -> Polynomial:
-    """B(z) = 1 - z - z^n, the generating function's denominator."""
+    """B(z) = 1 - z - z^n, the generating function's denominator.
+
+    n above DEGREE_LIMIT is refused before anything is built.
+    """
     if n < 2:
         raise ValueError("order must be >= 2")
+    if n > DEGREE_LIMIT:
+        raise SizeBudgetError(f"order {n} exceeds the {DEGREE_LIMIT} degree limit")
     return Polynomial((1.0, -1.0) + (0.0,) * (n - 2) + (-1.0,))
 
 
@@ -210,7 +216,10 @@ def compare_closed_vs_exact(n: int, count: int, tol: float) -> float:
     Rounded closed-form values must reproduce the integer sequence
     exactly; the first failing index is reported otherwise.  ``count``
     should stay small enough for doubles (around 60 terms for n <= 8).
+    ``tol`` must be a number >= 0: NaN would switch the check off.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     cf = closed_form(n, validation_count=0)
     exact = exact_sequence(n, count)
     worst = 0.0

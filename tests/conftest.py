@@ -35,3 +35,26 @@ def child_env():
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     return env
+
+
+@pytest.fixture
+def no_factoring(monkeypatch):
+    """Factorization.of as seen from cycles gives up on every n above 100, and brute force raises.
+
+    So d=6 fails on 3^6 - 1 = 728 (2^6 - 1 = 63 still factors) and d=9 on N = 240.
+    """
+    from swapnet import cycles
+    from swapnet.errors import FactoringError
+
+    true_of = cycles.Factorization.of
+
+    def of(n):
+        if n > 100:
+            raise FactoringError(f"cannot split composite {n}", cofactor=n)
+        return true_of(n)
+
+    def no_brute_force(*args):
+        raise AssertionError("brute force was called")
+
+    monkeypatch.setattr(cycles.Factorization, "of", staticmethod(of))
+    monkeypatch.setattr(cycles, "first_window_return", no_brute_force)

@@ -1,4 +1,7 @@
 """Tests for the command-line front end."""
+import contextlib
+import hashlib
+import io
 import json
 import pathlib
 import subprocess
@@ -6,12 +9,18 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swapnet import cycles, genfun
 from swapnet.cli import main
-from swapnet.network import build_cyclic_network, export_circuit
+from swapnet.errors import SwapnetError
+from swapnet.network import Circuit, build_cyclic_network, export_circuit, parse_circuit
 
 SEQ_D4 = "1,1,1,1,2,3,4,5,7,10,14,19,26,36,50,69,95,131,181,250,345,476,657,907,1252,1728"
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+CLI_DIGESTS = json.loads((ROOT / "bench" / "expected.json").read_text())["cli_digests"]
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +118,14 @@ class TestScan:
         assert code == 0
         assert "inconclusive" not in out and len(out.splitlines()) == 33
 
+    def test_factoring_failure_line(self, capsys, no_factoring):
+        code, out, _ = run_cli(capsys, "scan", "--max", "6")
+        assert code == 3 and out.splitlines()[-1] == "d=6  inconclusive after 0 steps"
+        code, out, _ = run_cli(capsys, "scan", "--max", "6", "--json")
+        assert code == 3 and json.loads(out)[-1] == {
+            "d": 6, "inconclusive": True, "budget": 0,
+            "reason": "cannot split composite 728 (order 6, mod 3)"}
+
     def test_partial_failure_exit_3(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--max", "6", "--budget", "10")
         assert code == 3
@@ -165,6 +182,24 @@ class TestSizeLimits:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "gate limit" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["cycle", "--d", str(cycles.RING_LIMIT + 1)],
+        ["cycle", "--d", "1000000007"],  # its ring would hold 8 GB of coefficients
+        ["cycle", "--d", str(10 ** 30)],
+        ["swap", "--d", str(10 ** 30)],
+        ["scan", "--max", str(cycles.RING_LIMIT + 1)],
+        ["scan", "--max", str(10 ** 30)],
+        ["closed-form", "--n", str(genfun.DEGREE_LIMIT + 1)],
+        ["closed-form", "--n", str(10 ** 30)],
+    ])
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv):
+        # factoring d or seeking roots would be work already; either one fails the test fast
+        for module, name in ((cycles.Factorization, "of"), (genfun, "find_roots")):
+            monkeypatch.setattr(module, name, lambda *args: pytest.fail(f"{name} ran"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "limit" in err
 
     def test_trace_invalid_d_before_size_check(self, capsys):
         for steps in ("5", "100000000"):
@@ -292,6 +327,13 @@ class TestClosedForm:
         assert doc["max_deviation"] < 1e-6
         assert len(doc["alphas"]) == 8
 
+    @pytest.mark.parametrize("tol, want", [("nan", 2), ("-1", 2), ("0", 1), ("1e-6", 0)])
+    def test_tol_is_a_number_at_least_zero(self, capsys, tol, want):
+        code, out, err = run_cli(capsys, "closed-form", "--n", "4", "--tol", tol, "--json")
+        assert code == want
+        if want == 2:
+            assert out == "" and err.startswith("usage error: tol must be a number >= 0")
+
 
 class TestExport:
     def test_gatelist(self, capsys):
@@ -360,9 +402,16 @@ class TestHarness:
     @pytest.mark.parametrize("value", ["abc", "1e3", "0"])
     def test_env_budget_invalid_exit_2(self, capsys, monkeypatch, value):
         monkeypatch.setenv("SWAPNET_BUDGET", value)
-        code, out, err = run_cli(capsys, "cycle", "--d", "10")
-        assert code == 2 and out == ""
-        assert "SWAPNET_BUDGET" in err
+        for d in ("10", "9"):  # a composite and a prime power alike
+            code, out, err = run_cli(capsys, "cycle", "--d", d)
+            assert code == 2 and out == ""
+            assert "SWAPNET_BUDGET" in err
+
+    @pytest.mark.parametrize("line", sorted(CLI_DIGESTS))
+    def test_pinned_digests(self, capsys, line):
+        # the benchmark's byte-identical contract: exit code and sha256 of stdout
+        code, out, _ = run_cli(capsys, *line.split())
+        assert [code, hashlib.sha256(out.encode()).hexdigest()] == CLI_DIGESTS[line]
 
     def test_readme_examples(self, child_env):
         # each '$ swapnet ...' line in README's CLI section, with the lines up
@@ -390,8 +439,76 @@ class TestHarness:
             capture_output=True, text=True,
             env={**child_env, "SWAPNET_BUDGET": "100"},
         )
-        # d=10 has no prime-power prediction, so each factor falls back to
-        # the env default; the mod-2 factor (period 889) is the first to
-        # run out of 100 steps
+        # SWAPNET_BUDGET caps each factor as --budget would; the mod-2
+        # factor (period 889) is the first above 100 steps
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["inconclusive"] is True
+
+
+# Integer arguments of every verb that takes one: each is drawn from -3..30
+# and, where the verb refuses them, from the extremes past its bound.
+SMALL = st.integers(-3, 30)
+WIDE = SMALL | st.sampled_from([cycles.RING_LIMIT + 1, 2 ** 62, 10 ** 30])
+FUZZ_ARGS = {  # verb: [(flag, values, required)]
+    "seq": [("--d", WIDE, True), ("--count", SMALL, True), ("--mod", WIDE, False)],
+    "cycle": [("--d", WIDE, True), ("--budget", WIDE, False)],
+    "scan": [("--max", WIDE, True), ("--budget", WIDE, False),
+             ("--jobs", st.integers(-3, 1), False)],
+    "swap": [("--d", WIDE, True), ("--budget", WIDE, False)],
+    # RING_LIMIT + 1 steps would fit TRACE_LIMIT for small d: valid, but slow to print
+    "trace": [("--d", WIDE, True), ("--steps", SMALL | st.sampled_from([2 ** 62, 10 ** 30]), True)],
+    "closed-form": [("--n", WIDE, True), ("--count", SMALL, False),
+                    ("--tol", st.sampled_from(["nan", "-1", "0", "1e-6"]), False)],
+    "export": [("--d", WIDE, True), ("--gates", WIDE, True)],
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+ANY_INT = st.integers(-3, 12) | st.sampled_from([True, 2 ** 62, 10 ** 30]) | JSON_VALUES
+CIRCUIT_TEXTS = (
+    st.text()
+    | JSON_VALUES.map(json.dumps)
+    | st.fixed_dictionaries({"d": ANY_INT, "systems": ANY_INT,
+                             "gates": st.lists(st.lists(ANY_INT, max_size=3), max_size=4)}).map(json.dumps)
+    | st.builds(lambda d, n, gates: f"DIM {d} SYSTEMS {n}\n"
+                + "".join(f"CNOT {c} {t}\n" for c, t in gates),
+                SMALL, SMALL, st.lists(st.tuples(SMALL, SMALL), max_size=4))
+)
+
+
+class TestFuzz:
+    """Hypothesis over the CLI's integer arguments and circuit files: exit 0-3, never a traceback.
+
+    Valid values that would only run long are left out: ``seq --count``
+    above a few hundred (``seq`` has no size bound yet), ``closed-form
+    --n`` in the hundreds (its root finder is pure Python), ``trace``
+    near ``TRACE_LIMIT``, and ``scan --jobs`` above 1.  ``check`` and
+    ``simulate`` take no integer argument; ``simulate``'s circuit text is
+    the second property.
+    """
+
+    @pytest.mark.parametrize("verb", sorted(FUZZ_ARGS))
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_integer_arguments(self, verb, data):
+        argv = [verb]
+        for flag, values, required in FUZZ_ARGS[verb]:
+            if required or data.draw(st.booleans(), label=f"{flag} given"):
+                argv += [flag, str(data.draw(values, label=flag))]
+        if data.draw(st.booleans(), label="--json"):
+            argv.append("--json")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+
+    @settings(max_examples=300)
+    @given(CIRCUIT_TEXTS)
+    def test_parse_circuit(self, text):
+        try:
+            circuit = parse_circuit(text)
+        except SwapnetError:
+            return
+        assert isinstance(circuit, Circuit)

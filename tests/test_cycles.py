@@ -283,31 +283,26 @@ class TestScan:
 
 
 class TestDefaultBudget:
-    def test_prediction_doubles(self):
-        from swapnet.cycles import default_budget
-        assert default_budget(9, 9) == 2 * 240
-        assert default_budget(7, 7) == 2 * 48
+    """SWAPNET_BUDGET, the one default cap for every d (``env_budget``)."""
 
     def test_env_fallback(self, monkeypatch):
-        from swapnet.cycles import DEFAULT_STEP_BUDGET, default_budget
         monkeypatch.delenv("SWAPNET_BUDGET", raising=False)
-        assert default_budget(6, 2) == DEFAULT_STEP_BUDGET
+        assert cycles.env_budget() is None
         monkeypatch.setenv("SWAPNET_BUDGET", "12345")
-        assert default_budget(6, 2) == 12345
-        # an existing prediction is not overridden by the env default
-        assert default_budget(9, 9) == 480
+        assert cycles.env_budget() == 12345
 
     def test_env_empty_counts_as_unset(self, monkeypatch):
-        from swapnet.cycles import DEFAULT_STEP_BUDGET, default_budget
         monkeypatch.setenv("SWAPNET_BUDGET", "")
-        assert default_budget(6, 2) == DEFAULT_STEP_BUDGET
+        assert cycles.env_budget() is None
 
     @pytest.mark.parametrize("value", ["abc", "1e3", "0", "-5", " "])
     def test_env_invalid_names_the_variable(self, monkeypatch, value):
-        from swapnet.cycles import default_budget
         monkeypatch.setenv("SWAPNET_BUDGET", value)
         with pytest.raises(ValueError, match="SWAPNET_BUDGET"):
-            default_budget(6, 2)
+            cycles.env_budget()
+        for d in (6, 9):  # read for prime powers as for composites
+            with pytest.raises(ValueError, match="SWAPNET_BUDGET"):
+                cycle_length(d)
 
 
 def test_report_json_schema():
@@ -531,6 +526,12 @@ class TestCompositeBudget:
                                      "no window return within 727 steps (order 6, mod 3)", 727)
         monkeypatch.setenv("SWAPNET_BUDGET", "728")
         assert _outcome(6, None) == ("report", ((2, 63), (3, 728)))
+        # a prime power is capped alike
+        monkeypatch.setenv("SWAPNET_BUDGET", "239")
+        assert _outcome(9, None) == ("inconclusive",
+                                     "no window return within 239 steps (order 9, mod 9)", 239)
+        monkeypatch.setenv("SWAPNET_BUDGET", "240")
+        assert _outcome(9, None) == ("report", ((9, 240),))
 
     def test_without_a_cap_the_ring_has_no_step_limit(self):
         # 1953124 > 10^6, yet no budget and no SWAPNET_BUDGET means no cap
@@ -544,37 +545,30 @@ class TestCompositeBudget:
 
 
 class TestFactoringFallback:
-    """A factoring failure hands the factor to brute force under today's budget."""
+    """A factoring failure is inconclusive at once: steps 0, the cofactor named, no brute force.
 
-    @pytest.fixture
-    def no_factoring(self, monkeypatch):
-        true_of = Factorization.of
-
-        def of(n):
-            if n > 100:
-                raise FactoringError(f"cannot split composite {n}", cofactor=n)
-            return true_of(n)
-
-        monkeypatch.setattr(cycles.Factorization, "of", staticmethod(of))
+    The class and test names are kept so that their ids stay stable.
+    """
 
     def test_composite_falls_back(self, no_factoring, caplog):
         with caplog.at_level(logging.INFO, logger="swapnet.cycles"):
-            report = cycle_length(6)
-        assert report.per_factor == ((2, 63), (3, 728)) and report.method == "composed"
-        # 3^6 - 1 = 728 cannot be factored; 2^6 - 1 = 63 can
-        [record] = caplog.records
-        assert record.levelno == logging.INFO
-        assert "728" in record.getMessage() and "mod 3" in record.getMessage()
+            assert _outcome(6, None) == ("inconclusive",
+                                         "cannot split composite 728 (order 6, mod 3)", 0)
+        assert caplog.records == []
 
     def test_fallback_keeps_the_budget(self, no_factoring):
-        with pytest.raises(InconclusiveError) as info:
-            cycle_length(6, budget=700)
-        assert (str(info.value), info.value.steps) == (
-            "no window return within 700 steps (order 6, mod 3)", 700)
+        # the factoring failure decides before any cap is compared
+        assert _outcome(6, 700) == ("inconclusive",
+                                    "cannot split composite 728 (order 6, mod 3)", 0)
 
-    def test_prime_power_falls_back(self, no_factoring, caplog):
-        with caplog.at_level(logging.INFO, logger="swapnet.cycles"):
-            report = cycle_length(9)
-        assert (report.length, report.method, report.conjecture_ok) == (240, "predicted-and-verified", True)
-        [record] = caplog.records
-        assert "240" in record.getMessage()
+    def test_prime_power_falls_back(self, no_factoring):
+        assert _outcome(9, None) == ("inconclusive",
+                                     "cannot split composite 240 (order 9, mod 9)", 0)
+
+    def test_d44_names_the_cofactor(self, monkeypatch):
+        # 11^43 - 1 holds a composite cofactor that Brent's rho cannot split
+        monkeypatch.setattr(cycles, "first_window_return", _no_brute_force)
+        assert _outcome(44, None) == ("inconclusive", "cannot split composite "
+                                      "60240069161242191853638732882447801140033173 "
+                                      "(order 44, mod 11)", 0)
+
