@@ -31,12 +31,12 @@ from .errors import (
 )
 from .genfun import (
     ClosedForm,
-    Polynomial,
     closed_form,
     compare_closed_vs_exact,
     distinct_roots_check,
     eval_closed,
     find_roots,
+    max_deviation,
     series_denominator,
 )
 from .network import (

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,20 +30,53 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, separators=(",", ":")))
 
 
+SEQ_LIMIT = 5 * 10 ** 6  # most terms one seq run prints
+DIGIT_LIMIT = 7 * 10 ** 7  # most digits one seq run prints
+
+
+def _too_long(d: int, count: int) -> SizeBudgetError:
+    return SizeBudgetError(f"--count {count} at order {d} needs terms longer than "
+                           f"the {sys.get_int_max_str_digits()}-digit int-to-str limit")
+
+
+def _check_seq_size(d: int, count: int, mod: int | None) -> None:
+    """Refuse a ``seq`` run too large to print, before any term is built.
+
+    alpha^(j-d+1) <= term(j) <= alpha^j, alpha the real root of x^d = x^(d-1) + 1.
+    """
+    if count > SEQ_LIMIT:
+        raise SizeBudgetError(f"--count {count} exceeds the {SEQ_LIMIT} term limit")
+    lo, hi = 1.0, 2.0  # bisect (d-1) log x + log(x-1) = 0 for alpha
+    while count > d and hi - lo > 1e-15:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if (d - 1) * math.log(mid) + math.log(mid - 1) < 0 else (lo, mid)
+    rate = math.log10(hi) if count > d else 0.0  # digits gained per term
+    if mod is None and 0 < sys.get_int_max_str_digits() <= (count - d) * rate:
+        raise _too_long(d, count)
+    digits = count + rate * count * (count - 1) / 2
+    if min(digits, count * len(str(mod - 1)) if mod else digits) > DIGIT_LIMIT:
+        raise SizeBudgetError(f"--count {count} at order {d} exceeds the {DIGIT_LIMIT} digit limit")
+
+
 def cmd_seq(args) -> int:
+    seqcore._check_order(args.d)  # usage errors come before any size check
     if args.mod is not None:
-        values = seqcore.seq_stream(args.d, args.mod, args.count)
-    else:
-        values = seqcore.exact_sequence(args.d, args.count)
-    if args.json:
-        _emit_json({
-            "d": args.d,
-            "mod": args.mod,
-            "count": args.count,
-            "terms": [str(v) for v in values],
-        })
-    else:
-        print(",".join(str(v) for v in values))
+        seqcore._check_modulus(args.mod)
+    _check_seq_size(args.d, args.count, args.mod)
+    values = (seqcore.exact_sequence(args.d, args.count) if args.mod is None
+              else seqcore.seq_stream(args.d, args.mod, args.count))
+    try:
+        if args.json:
+            _emit_json({
+                "d": args.d,
+                "mod": args.mod,
+                "count": args.count,
+                "terms": [str(v) for v in values],
+            })
+        else:
+            print(",".join(str(v) for v in values))
+    except ValueError:  # a term past the int-to-str limit that the bound let through
+        raise _too_long(args.d, args.count) from None
     return 0
 
 
@@ -160,8 +194,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
+    genfun.series_denominator(args.n)  # an invalid order wins over an invalid tol
+    genfun.check_tol(args.tol)  # refused before any root is sought
     cf = genfun.closed_form(args.n)
-    worst = genfun.compare_closed_vs_exact(args.n, args.count, args.tol)
+    worst = genfun.max_deviation(cf, args.count, args.tol)
     if args.json:
         doc = cf.to_dict()
         doc["max_deviation"] = worst

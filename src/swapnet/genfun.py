@@ -13,10 +13,11 @@ expansion needs no polynomial-in-j correction terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .errors import MismatchError, NumericError, SizeBudgetError
-from .seqcore import exact_sequence, term_exact
+from .seqcore import exact_sequence
 
 ROOT_TOL = 1e-12
 ROOT_MAX_ITER = 2000
@@ -25,35 +26,8 @@ IMAG_TOL = 1e-6
 DEGREE_LIMIT = 10 ** 6  # largest order n whose denominator is built
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Real-coefficient polynomial, constant term first."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.coefficients or self.coefficients[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def evaluate(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            raise ValueError("derivative of a constant is identically zero")
-        coeffs = tuple(k * c for k, c in enumerate(self.coefficients) if k > 0)
-        return Polynomial(coeffs)
-
-
-def series_denominator(n: int) -> Polynomial:
-    """B(z) = 1 - z - z^n, the generating function's denominator.
+def series_denominator(n: int) -> tuple[float, ...]:
+    """Coefficients of B(z) = 1 - z - z^n, constant term first.
 
     n above DEGREE_LIMIT is refused before anything is built.
     """
@@ -61,32 +35,36 @@ def series_denominator(n: int) -> Polynomial:
         raise ValueError("order must be >= 2")
     if n > DEGREE_LIMIT:
         raise SizeBudgetError(f"order {n} exceeds the {DEGREE_LIMIT} degree limit")
-    return Polynomial((1.0, -1.0) + (0.0,) * (n - 2) + (-1.0,))
+    return (1.0, -1.0) + (0.0,) * (n - 2) + (-1.0,)
 
 
-def find_roots(poly: Polynomial, tol: float = ROOT_TOL, max_iter: int = ROOT_MAX_ITER) -> list[complex]:
-    """All complex roots by simultaneous (all-at-once) iteration.
+def denominator_derivative(n: int, z: complex) -> complex:
+    """B'(z) = -1 - n z^(n-1)."""
+    return -1 - n * z ** (n - 1)
+
+
+def find_roots(n: int) -> list[complex]:
+    """All n complex roots of B(z) by simultaneous (all-at-once) iteration.
 
     Starts every root estimate on the deterministic spiral
     (0.4 + 0.9i)^k, applies the simultaneous correction
-    p(z_i) / prod_{j != i} (z_i - z_j) with a trust-region cap so
-    high-degree runs cannot blow up, and stops once every residual
-    |p(root)| is below ``tol``.  Roots come back sorted by
-    (real, imaginary).
+    p(z_i) / prod_{j != i} (z_i - z_j) to the monic p = -B with a
+    trust-region cap so high-degree runs cannot blow up, and stops once
+    every residual |p(root)| is below ``ROOT_TOL`` or ``ROOT_MAX_ITER``
+    sweeps are spent.  Roots come back sorted by (real, imaginary).
     """
-    n = poly.degree
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    lc = poly.coefficients[-1]
-    monic = tuple(c / lc for c in poly.coefficients)
-    ev = Polynomial(monic).evaluate
-    if n == 1:
-        return [-monic[0]]
+    monic = [-c for c in reversed(series_denominator(n))]  # leading coefficient first
+
+    def ev(z: complex) -> complex:
+        acc = 0j
+        for c in monic:
+            acc = acc * z + c
+        return acc
 
     seed = 0.4 + 0.9j
     roots = [seed ** (k + 1) for k in range(n)]
     best = float("inf")
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         moved = 0.0
         current = list(roots)
         for i in range(n):
@@ -96,7 +74,7 @@ def find_roots(poly: Polynomial, tol: float = ROOT_TOL, max_iter: int = ROOT_MAX
                 if j != i:
                     den *= z - current[j]
             if den == 0:
-                den = complex(tol, tol)
+                den = complex(ROOT_TOL, ROOT_TOL)
             delta = ev(z) / den
             step = abs(delta)
             cap = 1.0 + abs(z)
@@ -107,13 +85,11 @@ def find_roots(poly: Polynomial, tol: float = ROOT_TOL, max_iter: int = ROOT_MAX
             roots[i] = z - delta
             moved = max(moved, abs(delta))
         best = max(abs(ev(r)) for r in roots)
-        if best < tol or moved < 1e-16:
+        if best < ROOT_TOL or moved < 1e-16:
             break
-    if best >= tol:
-        raise NumericError(
-            f"root iteration did not reach residual {tol} (best {best:.3e})",
-            residual=best,
-        )
+    if best >= ROOT_TOL:
+        raise NumericError(f"root iteration did not reach residual {ROOT_TOL} (best {best:.3e})",
+                           residual=best)
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
@@ -122,7 +98,7 @@ class ClosedForm:
     """Reciprocal roots and weights evaluating the sequence terms.
 
     ``residual`` is the largest deviation |evaluated - exact| observed
-    over the validation range used at construction.
+    over the first 51 terms at construction.
     """
 
     order: int
@@ -139,28 +115,20 @@ class ClosedForm:
         }
 
 
-def _weights(n: int, alphas: list[complex]) -> list[complex]:
-    # B'(z) = -1 - n z^(n-1), evaluated at the root 1/alpha
-    return [-a / (-1 - n * (1 / a) ** (n - 1)) for a in alphas]
-
-
-def closed_form(n: int, validation_count: int = 51) -> ClosedForm:
+def closed_form(n: int) -> ClosedForm:
     """Roots, weights, and the observed accuracy for order n.
 
     Raises NumericError if the computed data violates what the partial
     fraction expansion guarantees: pairwise-distinct reciprocal roots,
-    conjugate closure, and weights summing to the first two terms.
+    conjugate closure, and weights summing to the first two terms; and
+    MismatchError if the first 51 terms do not round to the sequence.
     """
-    poly = series_denominator(n)
-    roots = find_roots(poly)
-    alphas = sorted((1 / r for r in roots), key=lambda z: (z.real, z.imag))
+    alphas = sorted((1 / r for r in find_roots(n)), key=lambda z: (z.real, z.imag))
     for i in range(n):
         for j in range(i + 1, n):
             if abs(alphas[i] - alphas[j]) <= DISTINCT_TOL:
-                raise NumericError(
-                    f"reciprocal roots {i} and {j} coincide within {DISTINCT_TOL}"
-                )
-    betas = _weights(n, alphas)
+                raise NumericError(f"reciprocal roots {i} and {j} coincide within {DISTINCT_TOL}")
+    betas = [-a / denominator_derivative(n, 1 / a) for a in alphas]
     for a in alphas:
         if min(abs(b - a.conjugate()) for b in alphas) > DISTINCT_TOL:
             raise NumericError("reciprocal roots are not closed under conjugation")
@@ -168,12 +136,7 @@ def closed_form(n: int, validation_count: int = 51) -> ClosedForm:
         if abs(moment - 1.0) > 1e-9:
             raise NumericError(f"{label} sum to {moment}, expected 1")
     cf = ClosedForm(n, tuple(alphas), tuple(betas), 0.0)
-    exact = exact_sequence(n, validation_count)
-    residual = 0.0
-    for j, target in enumerate(exact):
-        approx, _ = eval_closed(cf, j)
-        residual = max(residual, abs(approx - target))
-    return ClosedForm(n, tuple(alphas), tuple(betas), residual)
+    return replace(cf, residual=max_deviation(cf, 51, math.inf))
 
 
 def eval_closed(cf: ClosedForm, j: int) -> tuple[float, int]:
@@ -197,39 +160,39 @@ def distinct_roots_check(n: int) -> bool:
     """True iff the denominator's roots are numerically distinct.
 
     Also re-runs the analytic exclusion: the only candidate for a
-    repeated root is n/(n-1) before reciprocation, and it must fail to
-    be a root of the derivative.
+    repeated root is n/(n-1), and it must fail to be a root of B'.
     """
-    poly = series_denominator(n)
-    roots = find_roots(poly)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) <= DISTINCT_TOL:
-                return False
-    candidate = (n - 1) / n  # reciprocal of the lone repeated-root candidate
-    return abs(poly.derivative().evaluate(candidate)) > DISTINCT_TOL
+    roots = find_roots(n)
+    distinct = all(abs(a - b) > DISTINCT_TOL for i, a in enumerate(roots) for b in roots[i + 1:])
+    return distinct and abs(denominator_derivative(n, n / (n - 1))) > DISTINCT_TOL
 
 
-def compare_closed_vs_exact(n: int, count: int, tol: float) -> float:
+def check_tol(tol: float) -> None:
+    """``tol`` must be a number >= 0: NaN would switch the check off."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+
+
+def max_deviation(cf: ClosedForm, count: int, tol: float) -> float:
     """Largest |closed-form - exact| over the first ``count`` terms.
 
     Rounded closed-form values must reproduce the integer sequence
-    exactly; the first failing index is reported otherwise.  ``count``
-    should stay small enough for doubles (around 60 terms for n <= 8).
-    ``tol`` must be a number >= 0: NaN would switch the check off.
+    exactly and stay within ``tol``; the first failing index is
+    reported otherwise.  ``count`` should stay small enough for doubles
+    (around 60 terms for n <= 8).
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
-    cf = closed_form(n, validation_count=0)
-    exact = exact_sequence(n, count)
+    check_tol(tol)
     worst = 0.0
-    for j, target in enumerate(exact):
+    for j, target in enumerate(exact_sequence(cf.order, count)):
         approx, rounded = eval_closed(cf, j)
         worst = max(worst, abs(approx - target))
         if rounded != target or worst > tol:
-            raise MismatchError(
-                f"closed form diverges from exact terms at j={j}: "
-                f"{approx!r} vs {target}",
-                index=j,
-            )
+            raise MismatchError(f"closed form diverges from exact terms at j={j}: "
+                                f"{approx!r} vs {target}", index=j)
     return worst
+
+
+def compare_closed_vs_exact(n: int, count: int, tol: float) -> float:
+    """``max_deviation`` of order n's closed form, ``tol`` checked before the solve."""
+    check_tol(tol)
+    return max_deviation(closed_form(n), count, tol)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapnet import cycles, genfun
+from swapnet import cli, cycles, genfun, seqcore
 from swapnet.cli import main
 from swapnet.errors import SwapnetError
 from swapnet.network import Circuit, build_cyclic_network, export_circuit, parse_circuit
@@ -46,6 +46,43 @@ class TestSeq:
         assert code == 0
         assert doc["terms"][-1] == "78"
         assert all(isinstance(t, str) for t in doc["terms"])
+
+    @pytest.mark.parametrize("argv", [
+        ["--d", "4", "--count", "100000"],
+        ["--d", "2", "--count", "25000", "--json"],
+        ["--d", "4", "--count", str(10 ** 30), "--mod", "5"],
+        ["--d", "4", "--count", "5000000", "--mod", str(10 ** 15)],  # digits, not terms
+        ["--d", "100", "--count", "200000"],
+    ])
+    def test_refused_before_any_term(self, capsys, monkeypatch, argv):
+        for name in ("exact_sequence", "seq_stream"):
+            monkeypatch.setattr(seqcore, name, lambda *args: pytest.fail(f"{name} ran"))
+        code, out, err = run_cli(capsys, "seq", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --count ") and "limit" in err
+
+    def test_refusal_names_the_digit_limit(self, capsys):
+        _, _, err = run_cli(capsys, "seq", "--d", "4", "--count", "100000")
+        assert f"{sys.get_int_max_str_digits()}-digit" in err
+
+    def test_late_digit_failure_gives_the_same_error(self, capsys, monkeypatch):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
+        try:
+            refused = run_cli(capsys, "seq", "--d", "2", "--count", "3200")
+            monkeypatch.setattr(cli, "_check_seq_size", lambda *args: None)
+            late = [run_cli(capsys, "seq", "--d", "2", "--count", "3200", *flag) for flag in ([], ["--json"])]
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert refused[0] == 1 and refused[1] == ""
+        assert late == [refused, refused]
+
+    def test_bounds_leave_valid_runs_alone(self, capsys):
+        cli._check_seq_size(2, 20000, None)
+        cli._check_seq_size(4, cli.SEQ_LIMIT, 5)
+        cli._check_seq_size(10 ** 30, 5, None)
+        code, out, _ = run_cli(capsys, "seq", "--d", "100", "--count", "2000")
+        assert code == 0 and out.count(",") == 1999
 
 
 class TestCycle:
@@ -334,6 +371,17 @@ class TestClosedForm:
         if want == 2:
             assert out == "" and err.startswith("usage error: tol must be a number >= 0")
 
+    @pytest.mark.parametrize("argv, want, msg", [
+        (["--n", "150", "--tol", "nan"], 2, "usage error: tol must be a number >= 0"),
+        (["--n", "150", "--tol", "-1"], 2, "usage error: tol must be a number >= 0"),
+        (["--n", str(10 ** 30), "--tol", "nan"], 1, "error: order "),
+        (["--n", "1", "--tol", "nan"], 2, "usage error: order must be >= 2"),
+    ])
+    def test_order_then_tol_before_any_root(self, capsys, monkeypatch, argv, want, msg):
+        monkeypatch.setattr(genfun, "find_roots", lambda *args: pytest.fail("find_roots ran"))
+        code, out, err = run_cli(capsys, "closed-form", *argv)
+        assert code == want and out == "" and err.startswith(msg)
+
 
 class TestExport:
     def test_gatelist(self, capsys):
@@ -450,7 +498,8 @@ class TestHarness:
 SMALL = st.integers(-3, 30)
 WIDE = SMALL | st.sampled_from([cycles.RING_LIMIT + 1, 2 ** 62, 10 ** 30])
 FUZZ_ARGS = {  # verb: [(flag, values, required)]
-    "seq": [("--d", WIDE, True), ("--count", SMALL, True), ("--mod", WIDE, False)],
+    "seq": [("--d", WIDE, True), ("--count", SMALL | st.sampled_from([2 ** 62, 10 ** 30]), True),
+            ("--mod", WIDE, False)],
     "cycle": [("--d", WIDE, True), ("--budget", WIDE, False)],
     "scan": [("--max", WIDE, True), ("--budget", WIDE, False),
              ("--jobs", st.integers(-3, 1), False)],
@@ -483,9 +532,9 @@ class TestFuzz:
     """Hypothesis over the CLI's integer arguments and circuit files: exit 0-3, never a traceback.
 
     Valid values that would only run long are left out: ``seq --count``
-    above a few hundred (``seq`` has no size bound yet), ``closed-form
-    --n`` in the hundreds (its root finder is pure Python), ``trace``
-    near ``TRACE_LIMIT``, and ``scan --jobs`` above 1.  ``check`` and
+    between a few hundred and ``SEQ_LIMIT``, ``closed-form --n`` in the
+    hundreds (its root finder is pure Python), ``trace`` near
+    ``TRACE_LIMIT``, and ``scan --jobs`` above 1.  ``check`` and
     ``simulate`` take no integer argument; ``simulate``'s circuit text is
     the second property.
     """

@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from swapnet import cli, genfun
 from swapnet.errors import MismatchError, NumericError
 from swapnet.genfun import (
     ClosedForm,
-    Polynomial,
     closed_form,
     compare_closed_vs_exact,
+    denominator_derivative,
     distinct_roots_check,
     eval_closed,
     find_roots,
+    max_deviation,
     series_denominator,
 )
 from swapnet.seqcore import exact_sequence
@@ -24,37 +26,37 @@ ALPHA8_DOM = 1.232054631
 BETA8_DOM = 0.4313256714
 
 
-def numpy_roots_oracle(poly: Polynomial) -> list[complex]:
+def numpy_roots_oracle(coefficients: tuple[float, ...]) -> list[complex]:
     return sorted(
-        (complex(z) for z in np.roots(list(reversed(poly.coefficients)))),
+        (complex(z) for z in np.roots(list(reversed(coefficients)))),
         key=lambda z: (z.real, z.imag),
     )
 
 
-class TestPolynomial:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Polynomial((1.0, 0.0))
+def evaluate(coefficients: tuple[float, ...], z: complex) -> complex:
+    return sum(c * z ** k for k, c in enumerate(coefficients))
 
-    def test_evaluate_and_derivative(self):
-        p = series_denominator(4)
-        assert p.evaluate(0) == 1
-        assert p.evaluate(1) == -1
-        dp = p.derivative()
-        assert dp.coefficients == (-1.0, 0.0, 0.0, -4.0)
+
+class TestDenominator:
+    def test_values_and_derivative(self):
+        b = series_denominator(4)
+        assert b == (1.0, -1.0, 0.0, 0.0, -1.0)
+        assert evaluate(b, 0) == 1
+        assert evaluate(b, 1) == -1
+        # B'(z) = -1 - 4 z^3: its coefficients are (-1, 0, 0, -4)
+        assert denominator_derivative(4, 0) == -1
+        assert denominator_derivative(4, 1) == -5
+        assert denominator_derivative(4, 2) == -33
+        assert denominator_derivative(4, -1) == 3
         with pytest.raises(ValueError):
-            Polynomial((3.0,)).derivative()
+            series_denominator(1)
 
 
 class TestFindRoots:
-    def test_degree_one(self):
-        assert find_roots(Polynomial((1.0, -1.0))) == [1.0]
-
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 12, 16, 32, 64])
     def test_matches_numpy_oracle(self, n):
-        poly = series_denominator(n)
-        mine = find_roots(poly)
-        ref = numpy_roots_oracle(poly)
+        mine = find_roots(n)
+        ref = numpy_roots_oracle(series_denominator(n))
         assert len(mine) == n
         # roots are distinct, so nearest-match distance pins the multisets
         assert max(min(abs(a - b) for b in ref) for a in mine) < 1e-8
@@ -62,21 +64,22 @@ class TestFindRoots:
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 64])
     def test_residuals(self, n):
-        poly = series_denominator(n)
-        for r in find_roots(poly):
-            assert abs(poly.evaluate(r)) < 1e-12
+        b = series_denominator(n)
+        for r in find_roots(n):
+            assert abs(evaluate(b, r)) < 1e-12
 
     def test_reciprocal_root_values(self):
-        alphas = [1 / r for r in find_roots(series_denominator(4))]
+        alphas = [1 / r for r in find_roots(4)]
         alphas.sort(key=lambda z: (z.real, z.imag))
         assert abs(alphas[-1] - 1.380277569) < 1e-6
         assert abs(alphas[0] - (-0.8191725134)) < 1e-6
-        alphas8 = [1 / r for r in find_roots(series_denominator(8))]
+        alphas8 = [1 / r for r in find_roots(8)]
         assert abs(max(a.real for a in alphas8) - 1.232054631) < 1e-6
 
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(genfun, "ROOT_MAX_ITER", 2)
         with pytest.raises(NumericError) as err:
-            find_roots(series_denominator(16), tol=1e-12, max_iter=2)
+            find_roots(16)
         assert err.value.residual is not None and err.value.residual > 1e-12
 
 
@@ -153,10 +156,17 @@ class TestDistinctRoots:
     def test_distinct(self, n):
         assert distinct_roots_check(n)
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_analytic_half_checks_the_candidate(self, monkeypatch, n):
+        # a B' vanishing at the lone repeated-root candidate n/(n-1) must fail the check
+        real = genfun.denominator_derivative
+        monkeypatch.setattr(genfun, "denominator_derivative",
+                            lambda m, z: 0.0 if z == m / (m - 1) else real(m, z))
+        assert not distinct_roots_check(n)
+
     def test_quadratic_discriminant(self):
         # z^2 - z - 1 has discriminant 5, so its roots cannot collide
-        poly = series_denominator(2)
-        r1, r2 = find_roots(poly)
+        r1, r2 = find_roots(2)
         assert abs((r1 - r2) ** 2 - 5) < 1e-9
 
 
@@ -174,3 +184,46 @@ class TestCompare:
         with pytest.raises(MismatchError) as err:
             compare_closed_vs_exact(4, 26, 1e-16)
         assert err.value.index is not None
+
+
+class TestMaxDeviation:
+    def test_infinite_tol_gives_the_residual(self):
+        cf = closed_form(8)
+        assert max_deviation(cf, 51, math.inf) == cf.residual
+
+    def test_matches_compare(self):
+        for n in (2, 4, 8):
+            assert max_deviation(closed_form(n), 26, 1e-6) == compare_closed_vs_exact(n, 26, 1e-6)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_tol_is_a_number_at_least_zero(self, tol):
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            max_deviation(closed_form(4), 26, tol)
+
+
+class TestOneSolve:
+    """Each entry point runs the root iteration exactly once."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = genfun.find_roots
+
+        def spy(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(genfun, "find_roots", spy)
+        return calls
+
+    def test_cli(self, solves, capsys):
+        assert cli.main(["closed-form", "--n", "8", "--count", "40", "--json"]) == 0
+        assert solves == [8]
+
+    def test_compare(self, solves):
+        compare_closed_vs_exact(4, 26, 1e-6)
+        assert solves == [4]
+
+    def test_distinct_roots_check(self, solves):
+        assert distinct_roots_check(8)
+        assert solves == [8]
