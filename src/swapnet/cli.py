@@ -65,18 +65,21 @@ def cmd_seq(args) -> int:
     _check_seq_size(args.d, args.count, args.mod)
     values = (seqcore.exact_sequence(args.d, args.count) if args.mod is None
               else seqcore.seq_stream(args.d, args.mod, args.count))
-    try:
-        if args.json:
-            _emit_json({
-                "d": args.d,
-                "mod": args.mod,
-                "count": args.count,
-                "terms": [str(v) for v in values],
-            })
-        else:
-            print(",".join(str(v) for v in values))
-    except ValueError:  # a term past the int-to-str limit that the bound let through
-        raise _too_long(args.d, args.count) from None
+    # The bound lets a few counts past. Terms increase, so only the last can be too
+    # long to print; below 2^(3 limit) < 10^limit it fits without building 10^limit.
+    last = values[-1] if args.mod is None and values else 0
+    limit = sys.get_int_max_str_digits()
+    if limit and last.bit_length() > 3 * limit and last >= 10 ** limit:
+        raise _too_long(args.d, args.count)
+    if args.json:
+        _emit_json({
+            "d": args.d,
+            "mod": args.mod,
+            "count": args.count,
+            "terms": [str(v) for v in values],
+        })
+    else:
+        print(",".join(str(v) for v in values))
     return 0
 
 

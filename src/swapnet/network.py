@@ -266,30 +266,28 @@ def digits_of_index(d: int, n: int, index: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _gate_map(d: int, n: int, gate: Gate) -> np.ndarray:
-    """Forward basis map g with g[i] = index of the image of basis i."""
-    idx = np.arange(d ** n, dtype=np.int64)
-    wc = d ** (n - 1 - gate.control)
-    wt = d ** (n - 1 - gate.target)
-    xc = (idx // wc) % d
-    xt = (idx // wt) % d
-    return idx + ((xt + xc) % d - xt) * wt
-
-
 def simulate(circuit: Circuit, state: StateVector) -> StateVector:
-    """Run the circuit gate by gate; each gate permutes basis amplitudes."""
+    """Run the circuit gate by gate; each gate permutes basis amplitudes.
+
+    Gate (c, t) sends digit x[t] to x[t] + x[c], so output amplitude i is
+    input amplitude i + ((x[t] - x[c]) mod d - x[t]) * d^(n-1-t).  That
+    offset depends on two digits only, so it is built on a d x d grid
+    broadcast along axes c and t, and each gate is one gather.
+    """
     if state.d != circuit.d or state.n != circuit.n_systems:
         raise ValueError(
             f"state is {state.n} systems of dimension {state.d}, "
             f"circuit wants {circuit.n_systems} of {circuit.d}"
         )
+    d, n = circuit.d, circuit.n_systems
+    index = np.arange(d ** n, dtype=np.int64).reshape((d,) * n)
+    digit = np.arange(d, dtype=np.int64)
     amps = state.amplitudes
     for g in circuit.gates:
-        fwd = _gate_map(circuit.d, circuit.n_systems, g)
-        out = np.empty_like(amps)
-        out[fwd] = amps
-        amps = out
-    return StateVector(circuit.d, circuit.n_systems, amps)
+        xc = digit.reshape([d if k == g.control else 1 for k in range(n)])
+        xt = digit.reshape([d if k == g.target else 1 for k in range(n)])
+        amps = amps[(index + ((xt - xc) % d - xt) * d ** (n - 1 - g.target)).ravel()]
+    return StateVector(d, n, amps)
 
 
 def full_operator(circuit: Circuit) -> np.ndarray:

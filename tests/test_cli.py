@@ -77,6 +77,21 @@ class TestSeq:
         assert refused[0] == 1 and refused[1] == ""
         assert late == [refused, refused]
 
+    @pytest.mark.parametrize("flag", [[], ["--json"]])
+    def test_overlong_run_refused_before_any_term_is_rendered(self, capsys, monkeypatch, flag):
+        # alpha^(j-d+1) undershoots term(j), so this count passes the up-front bound
+        class Unprintable(int):
+            def __str__(self):
+                pytest.fail("a term was rendered")
+
+        exact = seqcore.exact_sequence
+        monkeypatch.setattr(seqcore, "exact_sequence", lambda d, count: list(map(Unprintable, exact(d, count))))
+        monkeypatch.setattr(cli, "_emit_json", lambda doc: pytest.fail("output was emitted"))
+        cli._check_seq_size(3, 25905, None)
+        code, out, err = run_cli(capsys, "seq", "--d", "3", "--count", "25905", *flag)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --count 25905 at order 3 needs terms longer than")
+
     def test_bounds_leave_valid_runs_alone(self, capsys):
         cli._check_seq_size(2, 20000, None)
         cli._check_seq_size(4, cli.SEQ_LIMIT, 5)

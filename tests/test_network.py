@@ -289,6 +289,32 @@ class TestSimulate:
             out = simulate(circuit, StateVector.basis(5, 5, digits))
             assert out.amplitudes[index_of_digits(5, mapping.apply(digits))] == 1.0
 
+    @given(st.integers(2, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_digit_loop_on_random_states(self, d, n, data):
+        # d^n <= 5^5 = 3125; gates from every ordered pair, c > t and non-adjacent too
+        pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+        picks = data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+        sv = StateVector.random(d, n, seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+        expected = np.empty_like(sv.amplitudes)
+        for index in range(d ** n):
+            image = basis_map_oracle(d, picks, digits_of_index(d, n, index))
+            expected[index_of_digits(d, image)] = sv.amplitudes[index]
+        out = simulate(Circuit(d, n, tuple(Gate(c, t) for c, t in picks)), sv)
+        assert np.array_equal(out.amplitudes, expected)
+
+    def test_d7_cycle_peak_memory(self):
+        # input and output states plus two int64 index arrays, each half a state
+        circuit = build_cyclic_network(7, 48)
+        sv = StateVector.random(7, 7, seed=7)
+        tracemalloc.start()
+        try:
+            simulate(circuit, sv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * sv.amplitudes.nbytes
+
 
 class TestFullOperator:
     def test_first_gate_action(self):
