@@ -29,6 +29,7 @@ from .errors import (
     SwapnetError,
     VerificationError,
 )
+from .factor import Factorization
 from .genfun import (
     ClosedForm,
     closed_form,
@@ -58,7 +59,6 @@ from .network import (
     verify_swap,
 )
 from .seqcore import (
-    Factorization,
     PascalTable,
     binom_exact,
     binom_mod,

@@ -1,21 +1,21 @@
 """Cycle lengths of the sequence mod m and the permutation they induce.
 
-The period of the sequence mod q is the multiplicative order of x in
-R_q = Z_q[x]/(x^d - x^(d-1) - 1), since the generating function is
-1/(1 - z - z^d).  Every d decomposes into prime powers q = p^e whose
-periods combine by LCM, and each is found by one routine: from a known
-multiple n of the order, strip every prime r of n while x^(n/r) = 1
-(``order_from_multiple``).  For d = p^m the multiple is the expected
-period N = p^(m-1) * (p^(2m) - 1): when no prime of N can be stripped,
-that certifies N as the period.  For composite d, or when x^N != 1, the
-multiple comes from the distinct-degree factorisation of
-x^d - x^(d-1) - 1 mod p (``degree_multiple``).  For prime d, N = d^2 - 1
-is proven, and a different period raises.  A factor whose multiple
-cannot be factored into proven primes is inconclusive, naming the
-cofactor.  Brute force advances the d-term window until it returns to
-all ones; it is only the oracle (``cycle_length_direct``,
-``verify_conjecture``).  The period mod d, reduced mod d, is the shift
-by which a network of that many gates cycles its systems.
+The period mod q is the order of x in R_q = Z_q[x]/(f), f = x^d - x^(d-1) - 1,
+since the generating function is 1/(1 - z - z^d).  Each prime power
+q = p^e | d is decided by one routine: from a known multiple n of the
+order, strip every prime r of n while x^(n/r) = 1 (``order_from_multiple``);
+the periods combine by LCM.  For composite d the multiple comes from the
+distinct-degree factorisation of f mod p (``degree_multiple``).  For
+d = p^m it is N = p^(m-1) * (p^(2m) - 1), and x^N = 1 always holds: mod p
+the reciprocal of f is y^(p^m) + y - 1, whose roots satisfy y^(p^m) = 1 - y,
+hence y^(p^(2m)) = y; f is squarefree mod p (f' = x^(d-2), f(0) = -1), so
+x^(p^(2m)-1) = 1 in R_p; and the kernel 1 + pR of the reduction from p^m
+to p has exponent p^(m-1).  So N is the period when no prime of it strips,
+as is proven for prime d (N = d^2 - 1).  A multiple that cannot be
+factored into proven primes is inconclusive, naming the cofactor.  Brute
+force (the window's first return to all ones) is only the oracle
+(``cycle_length_direct``, ``verify_conjecture``).  The period, reduced
+mod d, is the shift by which a network of that many gates cycles its systems.
 """
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 from . import ring
 from .errors import FactoringError, InconclusiveError, SizeBudgetError, VerificationError
-from .seqcore import Factorization, _check_prime, first_window_return
+from .factor import Factorization, _check_prime
+from .seqcore import _check_order, first_window_return
 
 log = logging.getLogger(__name__)
 
@@ -160,22 +161,20 @@ def degree_multiple(d: int, p: int, e: int) -> tuple[int, list[int]]:
 
 
 def ring_order(d: int, p: int, e: int) -> int:
-    """Multiplicative order of x in Z_(p^e)[x]/(x^d - x^(d-1) - 1), for a prime p | d.
+    """Order of x in Z_(p^e)[x]/(x^d - x^(d-1) - 1), for a prime p | d.
 
-    For d = p^e the multiple tried first is the predicted period N; for
-    composite d, or when x^N != 1, it is ``degree_multiple``.  Raises
-    FactoringError when a multiple cannot be factored into proven primes.
+    The multiple is N for d = p^e (proven in the module docstring), else
+    ``degree_multiple``; FactoringError if it has an unproven cofactor.
     """
     q = p ** e
-    order = None
     if d == q:
         n = predicted_cycle(p, e)
-        order = order_from_multiple(d, q, n, [r for r, _ in Factorization.of(n).factors])
-    if order is None:
+        primes = [r for r, _ in Factorization.of(n).factors]
+    else:
         n, primes = degree_multiple(d, p, e)
-        order = order_from_multiple(d, q, n, primes)
-        if order is None:
-            raise VerificationError(f"x^{n} != 1 mod {q} (order {d}): not a multiple of the order")
+    order = order_from_multiple(d, q, n, primes)
+    if order is None:
+        raise VerificationError(f"x^{n} != 1 mod {q} (order {d}): not a multiple of the order")
     log.debug("d=%d, mod %d: order %d of x, from the multiple %d", d, q, order, n)
     return order
 
@@ -183,15 +182,14 @@ def ring_order(d: int, p: int, e: int) -> int:
 def cycle_length(d: int, budget: int | None = None) -> CycleReport:
     """Period of the order-d sequence mod d, as the LCM of ``ring_order`` over q = p^e | d.
 
-    The cap on each factor's period is the budget, else SWAPNET_BUDGET
-    if set.  A factor above the cap is inconclusive after that many
-    steps, as brute force would be; a factor whose multiple cannot be
-    factored is inconclusive after 0 steps, and the message names the
-    cofactor.  d above RING_LIMIT is refused before any work.  For
-    d = p^m the period is compared with the predicted N: a mismatch for
-    prime d is impossible and raises; for m > 1 it is recorded in
-    ``conjecture_ok``.
+    d below 2 or above RING_LIMIT is refused before any work.  A factor
+    whose period exceeds the cap (the budget, else SWAPNET_BUDGET if set)
+    is inconclusive after that many steps, as brute force would be; one
+    whose multiple cannot be factored, after 0 steps, naming the cofactor.
+    For d = p^m the period is compared with N: a mismatch raises for
+    prime d and is recorded in ``conjecture_ok`` for m > 1.
     """
+    _check_order(d)
     if d > RING_LIMIT:
         raise SizeBudgetError(f"order {d} exceeds the {RING_LIMIT} ring limit")
     f = Factorization.of(d)
@@ -262,10 +260,8 @@ def scan(max_n: int, budget: int | None = None, jobs: int = 1) -> list[CycleRepo
     workers = min(jobs, len(dims), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_scan_one, dims, [budget] * len(dims)))
-    else:
-        raw = [_scan_one(n, budget) for n in dims]
-    return raw
+            return list(pool.map(_scan_one, dims, [budget] * len(dims)))
+    return [_scan_one(n, budget) for n in dims]
 
 
 def _scan_one(n: int, budget: int | None) -> CycleReport | ScanFailure:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import cycles
 from .errors import SizeBudgetError, SwapnetError
+from .factor import Factorization
 from .seqcore import _check_modulus, seq_stream
 
 OPERATOR_SIZE_LIMIT = 10 ** 6
@@ -359,7 +360,7 @@ def verify_swap(d: int, budget: int | None = None) -> SwapVerdict:
     elif shift == d - 1:
         kind = "swap"
     else:
-        f = cycles.Factorization.of(d)
+        f = Factorization.of(d)
         if f.is_prime_power:
             p, m = f.factors[0]
             if m > 1 and shift == d - p ** (m - 1):

@@ -39,14 +39,15 @@ def child_env():
 
 @pytest.fixture
 def no_factoring(monkeypatch):
-    """Factorization.of as seen from cycles gives up on every n above 100, and brute force raises.
+    """Factorization.of gives up on every n above 100, and brute force in cycles raises.
 
     So d=6 fails on 3^6 - 1 = 728 (2^6 - 1 = 63 still factors) and d=9 on N = 240.
     """
     from swapnet import cycles
     from swapnet.errors import FactoringError
+    from swapnet.factor import Factorization
 
-    true_of = cycles.Factorization.of
+    true_of = Factorization.of
 
     def of(n):
         if n > 100:
@@ -56,5 +57,5 @@ def no_factoring(monkeypatch):
     def no_brute_force(*args):
         raise AssertionError("brute force was called")
 
-    monkeypatch.setattr(cycles.Factorization, "of", staticmethod(of))
+    monkeypatch.setattr(Factorization, "of", staticmethod(of))
     monkeypatch.setattr(cycles, "first_window_return", no_brute_force)

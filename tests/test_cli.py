@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapnet import cli, cycles, genfun, seqcore
+from swapnet import cli, cycles, factor, genfun, seqcore
 from swapnet.cli import main
 from swapnet.errors import SwapnetError
 from swapnet.network import Circuit, build_cyclic_network, export_circuit, parse_circuit
@@ -247,7 +247,7 @@ class TestSizeLimits:
     ])
     def test_refused_before_any_work(self, capsys, monkeypatch, argv):
         # factoring d or seeking roots would be work already; either one fails the test fast
-        for module, name in ((cycles.Factorization, "of"), (genfun, "find_roots")):
+        for module, name in ((factor.Factorization, "of"), (genfun, "find_roots")):
             monkeypatch.setattr(module, name, lambda *args: pytest.fail(f"{name} ran"))
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
@@ -435,6 +435,16 @@ class TestHarness:
         assert code == 2 and "usage error" in err
         code, _, err = run_cli(capsys, "cycle", "--d", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("verb", ["cycle", "swap"])
+    @pytest.mark.parametrize("d", ["1", "0", "-3"])
+    def test_order_below_two_names_the_order(self, capsys, monkeypatch, verb, d):
+        # the order is checked before d is factored, so the message is about the sequence
+        monkeypatch.setattr(factor.Factorization, "of", lambda *args: pytest.fail("factored"))
+        code, out, err = run_cli(capsys, verb, "--d", d)
+        assert code == 2 and out == ""
+        assert err == f"usage error: sequence order must be an integer >= 2, got {d}\n"
+        assert "Traceback" not in err
 
     def test_unknown_verb_exit_2(self):
         with pytest.raises(SystemExit) as err:

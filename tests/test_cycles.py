@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapnet import cycles, seqcore
+from swapnet import cycles, factor, ring
 from swapnet.errors import FactoringError, InconclusiveError, InvalidPrimeError, VerificationError
 from swapnet.cycles import (
     CycleReport,
-    Factorization,
     ScanFailure,
     cycle_length,
     cycle_length_direct,
@@ -21,7 +20,8 @@ from swapnet.cycles import (
     scan_csv,
     verify_conjecture,
 )
-from swapnet.seqcore import _check_prime, seq_stream
+from swapnet.factor import Factorization, _check_prime
+from swapnet.seqcore import seq_stream
 
 TABLE = {2: 3, 3: 8, 4: 30, 5: 24, 6: 6552, 7: 48, 8: 252, 9: 240}
 
@@ -32,7 +32,7 @@ class TestFactorization:
         assert Factorization.of(7).factors == ((7, 1),)
         assert Factorization.of(64).is_prime_power
         assert not Factorization.of(12).is_prime_power
-        assert Factorization.of(90).prime_powers() == [2, 9, 5]
+        assert [p ** e for p, e in Factorization.of(90).factors] == [2, 9, 5]
 
     def test_product_invariant(self):
         for n in range(2, 500):
@@ -70,7 +70,7 @@ class TestFactorization:
         assert info.value.cofactor == 2 ** 89 - 1
 
     def test_unsplit_composite_raises(self, monkeypatch):
-        monkeypatch.setattr(seqcore, "RHO_STEPS", 10)
+        monkeypatch.setattr(factor, "RHO_STEPS", 10)
         n = 1000003 * 1000033
         with pytest.raises(FactoringError) as info:
             Factorization.of(n)
@@ -363,18 +363,31 @@ class TestRingCertificate:
         assert report.conjecture_ok is True
 
     def test_wrong_predictions_keep_the_verdicts(self, monkeypatch):
-        # 2N is a multiple, stripped to the true order; x^(N+1) = x != 1 hands the
-        # factor to the degree multiple.  Either way the ring measures the true
-        # period and the report records the mismatch, without brute force
+        # 2N is a multiple, stripped to the true order, and the report records the
+        # mismatch.  N + 1 is no multiple (x^(N+1) = x); the true N always is one, so
+        # there is no fallback and the ring raises, naming the multiple
         monkeypatch.setattr(cycles, "first_window_return", _no_brute_force)
         true_cycle = cycles.predicted_cycle
-        for wrong in (lambda n: 2 * n, lambda n: n + 1):
-            monkeypatch.setattr(cycles, "predicted_cycle",
-                                lambda p, m, w=wrong: w(true_cycle(p, m)))
-            report = cycle_length(8)
-            assert (report.length, report.method, report.conjecture_ok) == (252, "direct", False)
-            with pytest.raises(VerificationError):
-                cycle_length(7)
+        monkeypatch.setattr(cycles, "predicted_cycle", lambda p, m: 2 * true_cycle(p, m))
+        report = cycle_length(8)
+        assert (report.length, report.method, report.conjecture_ok) == (252, "direct", False)
+        with pytest.raises(VerificationError):
+            cycle_length(7)
+        monkeypatch.setattr(cycles, "predicted_cycle", lambda p, m: true_cycle(p, m) + 1)
+        for d, n in ((8, 253), (7, 49)):
+            with pytest.raises(VerificationError, match=f"x\\^{n} != 1 mod {d}"):
+                cycle_length(d)
+
+    @pytest.mark.parametrize("d", [d for d in range(2, 65) if Factorization.of(d).is_prime_power]
+                             + [343, 729, 1024, 3125])
+    def test_prime_powers_never_use_ddf(self, monkeypatch, d):
+        # x^N = 1 always holds for d = p^m, so the distinct-degree multiple is never needed
+        def no_ddf(*args):
+            raise AssertionError("distinct_degree was called")
+
+        monkeypatch.setattr(ring, "distinct_degree", no_ddf)
+        p, m = Factorization.of(d).factors[0]
+        assert cycles.ring_order(d, p, m) == predicted_cycle(p, m)
 
     def test_certified_period_is_logged(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="swapnet.cycles"):
@@ -490,7 +503,7 @@ class TestRingOrder:
 def _brute_force_outcome(d, budget):
     """What cycle_length(d, budget) gave when brute force ran every factor."""
     per_factor = []
-    for q in Factorization.of(d).prime_powers():
+    for q in (p ** e for p, e in Factorization.of(d).factors):
         try:
             per_factor.append((q, cycle_length_direct(d, q, budget)))
         except InconclusiveError as exc:

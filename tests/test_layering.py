@@ -1,0 +1,85 @@
+"""Module layering of the package, read from the source with ``ast``; nothing is imported."""
+import ast
+import graphlib
+import pathlib
+import sys
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "swapnet"
+TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+FACTORING = {"Factorization", "_passes_miller_rabin", "_rho_split", "_check_prime",
+             "TRIAL_LIMIT", "MR_BASES", "MR_LIMIT", "RHO_STEPS"}
+
+
+def _imports(tree):
+    """(package modules, other top-level modules) that one module imports, at any depth."""
+    own, other = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [(a.name, ()) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):  # the package imports itself relatively
+            module = ("swapnet." if node.level else "") + (node.module or "")
+            targets = [(module.rstrip("."), node.names)]
+        else:
+            continue
+        for module, names in targets:
+            parts = module.split(".")
+            if parts[0] != "swapnet":
+                other.add(parts[0])
+            elif len(parts) > 1:
+                own.add(parts[1])
+            else:  # "from . import ring" names modules
+                own.update(a.name for a in names)
+    return own, other
+
+
+def _defined(tree):
+    """Names that one module defines, at any depth: functions, classes and assignments."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _imported_names(tree):
+    return {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def test_every_module_is_parsed():
+    assert {"factor", "seqcore", "cycles", "network", "ring", "errors"} <= set(TREES)
+
+
+def test_import_graph_is_acyclic():
+    graph = {name: _imports(tree)[0] for name, tree in TREES.items()}
+    for name, deps in graph.items():
+        assert deps <= set(TREES), (name, deps - set(TREES))
+    # raises CycleError naming the cycle
+    order = list(graphlib.TopologicalSorter(graph).static_order())
+    assert order.index("factor") < order.index("seqcore") < order.index("cycles")
+
+
+def test_factor_imports_only_errors_and_the_standard_library():
+    own, other = _imports(TREES["factor"])
+    assert own == {"errors"}
+    assert other <= set(sys.stdlib_module_names), other - set(sys.stdlib_module_names)
+
+
+def test_only_factor_defines_factoring():
+    assert FACTORING <= _defined(TREES["factor"])
+    for name, tree in TREES.items():
+        if name != "factor":
+            assert not FACTORING & _defined(tree), (name, FACTORING & _defined(tree))
+
+
+def test_seqcore_holds_no_factoring():
+    # seqcore checks primes through factor._check_prime and re-exports nothing else of it
+    assert not (FACTORING - {"_check_prime"}) & _imported_names(TREES["seqcore"])
+
+
+def test_network_and_cycles_import_factor_directly():
+    for name in ("network", "cycles", "seqcore"):
+        assert "factor" in _imports(TREES[name])[0], name

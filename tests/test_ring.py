@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapnet import ring
-from swapnet.seqcore import Factorization, exact_sequence, seq_stream
+from swapnet.factor import Factorization
+from swapnet.seqcore import exact_sequence, seq_stream
 
 
 def mul_oracle(a, b, d, q):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from swapnet.cycles import predicted_cycle
 from swapnet.errors import InconclusiveError, InvalidModulusError, InvalidPrimeError
+from swapnet.factor import Factorization
 from swapnet.seqcore import (
-    Factorization,
     PascalTable,
     binom_exact,
     binom_mod,
