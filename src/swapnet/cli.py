@@ -27,7 +27,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, separators=(",", ":")))
+    print(json.dumps(doc, separators=(",", ":"), allow_nan=False))
 
 
 SEQ_LIMIT = 5 * 10 ** 6  # most terms one seq run prints
@@ -39,18 +39,20 @@ def _too_long(d: int, count: int) -> SizeBudgetError:
                            f"the {sys.get_int_max_str_digits()}-digit int-to-str limit")
 
 
-def _check_seq_size(d: int, count: int, mod: int | None) -> None:
-    """Refuse a ``seq`` run too large to print, before any term is built.
-
-    alpha^(j-d+1) <= term(j) <= alpha^j, alpha the real root of x^d = x^(d-1) + 1.
-    """
-    if count > SEQ_LIMIT:
-        raise SizeBudgetError(f"--count {count} exceeds the {SEQ_LIMIT} term limit")
-    lo, hi = 1.0, 2.0  # bisect (d-1) log x + log(x-1) = 0 for alpha
-    while count > d and hi - lo > 1e-15:
+def _growth(d: int) -> float:
+    """alpha, the real root of x^d = x^(d-1) + 1: alpha^(j-d+1) <= term(j) <= alpha^j."""
+    lo, hi = 1.0, 2.0  # bisect (d-1) log x + log(x-1) = 0
+    while hi - lo > 1e-15:
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if (d - 1) * math.log(mid) + math.log(mid - 1) < 0 else (lo, mid)
-    rate = math.log10(hi) if count > d else 0.0  # digits gained per term
+    return hi
+
+
+def _check_seq_size(d: int, count: int, mod: int | None) -> None:
+    """Refuse a ``seq`` run too large to print, before any term is built."""
+    if count > SEQ_LIMIT:
+        raise SizeBudgetError(f"--count {count} exceeds the {SEQ_LIMIT} term limit")
+    rate = math.log10(_growth(d)) if count > d else 0.0  # digits gained per term
     if mod is None and 0 < sys.get_int_max_str_digits() <= (count - d) * rate:
         raise _too_long(d, count)
     digits = count + rate * count * (count - 1) / 2
@@ -199,6 +201,12 @@ def cmd_simulate(args) -> int:
 def cmd_closed_form(args) -> int:
     genfun.series_denominator(args.n)  # an invalid order wins over an invalid tol
     genfun.check_tol(args.tol)  # refused before any root is sought
+    if math.isinf(args.tol):  # JSON has no Infinity
+        raise ValueError(f"tol must be finite, got {args.tol!r}")
+    # the last term is at least alpha^(count-n); doubles stop being exact at 2^53
+    if args.count > args.n and (args.count - args.n) * math.log2(_growth(args.n)) >= 53:
+        raise ValueError(f"--count {args.count} at order {args.n} reaches terms past "
+                         f"2^53, the limit of exact doubles")
     cf = genfun.closed_form(args.n)
     worst = genfun.max_deviation(cf, args.count, args.tol)
     if args.json:

@@ -35,6 +35,19 @@ def _check_order(d: int) -> None:
         raise ValueError(f"sequence order must be an integer >= 2, got {d!r}")
 
 
+def _pascal_rows(m: int, width: int, n_max: int):
+    """Rows 0..n_max of Pascal's triangle mod m, each cut to columns 0..width.
+
+    Row n is C(n, k) mod m for k <= min(n, width), built from row n-1 by
+    the addition rule alone, so each row costs O(width).
+    """
+    row = [1]
+    yield row
+    for n in range(1, n_max + 1):
+        row = [1] + [(a + b) % m for a, b in zip(row, row[1:])] + ([1] if n <= width else [])
+        yield row
+
+
 class PascalTable:
     """Triangular table of C(n, k) mod m, built with the addition rule.
 
@@ -49,14 +62,7 @@ class PascalTable:
             raise ValueError("max_n must be >= 0")
         self.modulus = modulus
         self.max_n = max_n
-        rows = [[1]]
-        for n in range(1, max_n + 1):
-            prev = rows[-1]
-            row = [1] * (n + 1)
-            for k in range(1, n):
-                row[k] = (prev[k - 1] + prev[k]) % modulus
-            rows.append(row)
-        self.rows = rows
+        self.rows = list(_pascal_rows(modulus, max_n, max_n))
 
     def binom(self, n: int, k: int) -> int:
         """C(n, k) mod modulus, with the 0-outside-the-triangle convention."""
@@ -74,32 +80,19 @@ def binom_exact(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _pascal_column(k: int, m: int, n_max: int) -> list[int]:
-    """C(n, k) mod m for n = k .. n_max, from one rolling row prefix.
-
-    Keeps only columns 0..k of the current Pascal row, so the cost is
-    O(n_max * k) time and O(k) memory besides the returned column.
-    """
-    row = [1] + [0] * k
-    col = []
-    for n in range(n_max + 1):
-        for c in range(min(n, k), 0, -1):
-            row[c] = (row[c] + row[c - 1]) % m
-        if n >= k:
-            col.append(row[k])
-    return col
-
-
 def binom_mod(n: int, k: int, m: int) -> int:
     """C(n, k) mod m without constructing the exact integer.
 
-    Runs a one-dimensional Pascal recurrence over min(k, n-k) columns,
-    so single queries stay cheap even for large n.
+    Walks Pascal rows cut to min(k, n-k) + 1 columns, so single queries
+    stay cheap even for large n.
     """
     _check_modulus(m)
     if k < 0 or k > n:
         return 0
-    return _pascal_column(min(k, n - k), m, n)[-1]
+    k = min(k, n - k)
+    for row in _pascal_rows(m, k, n):
+        pass
+    return row[k]
 
 
 def term_exact(j: int, d: int) -> int:
@@ -113,27 +106,18 @@ def term_exact(j: int, d: int) -> int:
 def term_exact_range(d: int, count: int) -> list[int]:
     """First ``count`` exact terms via the direct sum, batched.
 
-    Each row's binomial terms are produced by multiplicative updates of
-    consecutive-factor products (no recurrence involved), which keeps a
-    full j-range evaluation far cheaper than per-term factorials.
+    Keeps col[i] = C(j - (d-1)*i, i) for the current j.  Column i starts
+    at j = d*i as C(i, i) = 1, and each step of j advances it exactly by
+    C(n, i) = C(n-1, i) * n / (n-i), with no recurrence involved.
     Agrees elementwise with ``term_exact``.
     """
     _check_order(d)
-    out = []
+    out, col = [], []
     for j in range(count):
-        t = 1
-        s = 1
-        for i in range(j // d):
-            n = j - (d - 1) * i
-            num = 1
-            for r in range(d):
-                num *= n - i - r
-            den = i + 1
-            for r in range(d - 1):
-                den *= n - r
-            t = t * num // den
-            s += t
-        out.append(s)
+        col = [c * (j - (d - 1) * i) // (j - d * i) for i, c in enumerate(col)]
+        if j % d == 0:
+            col.append(1)
+        out.append(sum(col))
     return out
 
 
@@ -274,7 +258,7 @@ def lu_tsai_period(p: int, a: int, k: int, search_horizon: int) -> int:
             f"search_horizon {search_horizon} < 3 * p^(a+e) = {3 * predicted}",
             steps=0,
         )
-    vals = _pascal_column(k, p ** a, k + search_horizon)
+    vals = [row[k] for row in _pascal_rows(p ** a, k, k + search_horizon) if len(row) > k]
     limit = len(vals) // 2
     for period in range(1, limit + 1):
         if vals[period:] == vals[:-period]:

@@ -391,11 +391,20 @@ class TestClosedForm:
         (["--n", "150", "--tol", "-1"], 2, "usage error: tol must be a number >= 0"),
         (["--n", str(10 ** 30), "--tol", "nan"], 1, "error: order "),
         (["--n", "1", "--tol", "nan"], 2, "usage error: order must be >= 2"),
+        # the last term reaches 2^53 at count 118 for n = 4
+        *((["--n", "4", "--count", str(c)], 2, "usage error: --count ") for c in (118, 10 ** 6, 10 ** 30)),
+        *((["--n", "3", "--tol", t, *j], 2, "usage error: tol must be finite")
+          for t in ("inf", "1e400") for j in ([], ["--json"])),
     ])
     def test_order_then_tol_before_any_root(self, capsys, monkeypatch, argv, want, msg):
         monkeypatch.setattr(genfun, "find_roots", lambda *args: pytest.fail("find_roots ran"))
         code, out, err = run_cli(capsys, "closed-form", *argv)
         assert code == want and out == "" and err.startswith(msg)
+
+    def test_count_below_limit_still_compared(self, capsys):
+        code, out, err = run_cli(capsys, "closed-form", "--n", "4", "--count", "117")
+        assert code == 1 and out == ""
+        assert err.startswith("error: closed form diverges from exact terms at j=64")
 
 
 class TestExport:
@@ -531,8 +540,8 @@ FUZZ_ARGS = {  # verb: [(flag, values, required)]
     "swap": [("--d", WIDE, True), ("--budget", WIDE, False)],
     # RING_LIMIT + 1 steps would fit TRACE_LIMIT for small d: valid, but slow to print
     "trace": [("--d", WIDE, True), ("--steps", SMALL | st.sampled_from([2 ** 62, 10 ** 30]), True)],
-    "closed-form": [("--n", WIDE, True), ("--count", SMALL, False),
-                    ("--tol", st.sampled_from(["nan", "-1", "0", "1e-6"]), False)],
+    "closed-form": [("--n", WIDE, True), ("--count", SMALL | st.sampled_from([2 ** 62, 10 ** 30]), False),
+                    ("--tol", st.sampled_from(["nan", "inf", "-1", "0", "1e-6"]), False)],
     "export": [("--d", WIDE, True), ("--gates", WIDE, True)],
 }
 
@@ -574,9 +583,12 @@ class TestFuzz:
                 argv += [flag, str(data.draw(values, label=flag))]
         if data.draw(st.booleans(), label="--json"):
             argv.append("--json")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 1, 2, 3), argv
+        # RFC 8259 has no NaN or Infinity; export ignores --json, --format picks its text
+        if "--json" in argv and code in (0, 3) and verb != "export":
+            json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"{c} in {argv}"))
 
     @settings(max_examples=300)
     @given(CIRCUIT_TEXTS)

@@ -70,18 +70,17 @@ class TestBinomials:
         with pytest.raises(InvalidModulusError):
             binom_mod(5, 2, 1)
 
-    @given(st.integers(0, 60), st.integers(0, 60), st.sampled_from([2, 3, 4, 5, 7, 9, 12]))
+    @given(st.integers(0, 300), st.integers(0, 300), st.sampled_from([2, 3, 4, 5, 7, 9, 12, 49]))
     def test_mod_matches_exact(self, n, k, m):
-        assert binom_mod(n, k, m) == binom_oracle(n, k) % m
+        assert binom_mod(n, k, m) == (math.comb(n, k) if k <= n else 0) % m
 
 
 class TestPascalTable:
-    @pytest.mark.parametrize("m", [2, 3, 4, 6, 10])
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 9, 10, 49])
     def test_rows_match_exact_binomials(self, m):
-        table = PascalTable(m, 50)
-        for n in range(51):
-            for k in range(n + 1):
-                assert table.binom(n, k) == binom_oracle(n, k) % m
+        table = PascalTable(m, 60)
+        for n in range(61):
+            assert table.rows[n] == [math.comb(n, k) % m for k in range(n + 1)]
 
     def test_addition_rule_elementwise(self):
         table = PascalTable(7, 40)
@@ -129,15 +128,18 @@ class TestSequenceRoutes:
         with pytest.raises(InvalidModulusError):
             seq_stream(4, 1, 5)
 
-    @pytest.mark.parametrize("d", range(2, 13))
+    @pytest.mark.parametrize("d", range(2, 41))
     def test_sum_route_equals_recurrence_route(self, d):
-        count = 400
-        assert term_exact_range(d, count) == exact_sequence(d, count) == seq_oracle(d, count)
+        exact = exact_sequence(d, 400)
+        assert exact == seq_oracle(d, 400)
+        # empty, below d, ending at j = d*i where column i starts, and the full run
+        for count in (0, d - 1, d + 1, 2 * d + 1, (399 // d) * d + 1, 400):
+            assert term_exact_range(d, count) == exact[:count]
 
-    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 40])
     def test_batch_sum_matches_per_term_sum(self, d):
-        batch = term_exact_range(d, 120)
-        assert batch == [term_exact(j, d) for j in range(120)]
+        batch = term_exact_range(d, 400)
+        assert batch == [term_exact(j, d) for j in range(400)]
 
     def test_growth_strictly_increasing(self):
         for d in (2, 4, 9):
