@@ -203,6 +203,8 @@ def cmd_closed_form(args) -> int:
     genfun.check_tol(args.tol)  # refused before any root is sought
     if math.isinf(args.tol):  # JSON has no Infinity
         raise ValueError(f"tol must be finite, got {args.tol!r}")
+    if args.count < 0:
+        raise ValueError("count must be >= 0")
     # the last term is at least alpha^(count-n); doubles stop being exact at 2^53
     if args.count > args.n and (args.count - args.n) * math.log2(_growth(args.n)) >= 53:
         raise ValueError(f"--count {args.count} at order {args.n} reaches terms past "
@@ -225,7 +227,7 @@ def cmd_closed_form(args) -> int:
 
 def cmd_export(args) -> int:
     circuit = network.build_cyclic_network(args.d, args.gates)
-    print(network.export_circuit(circuit, args.format))
+    print(network.export_circuit(circuit, "json" if args.json else args.format))
     return 0
 
 
@@ -390,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("cycle", cmd_cycle, help="cycle length report for one dimension")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="max window steps per factor")
+    p.add_argument("--budget", type=int, default=None, help="cap on each factor's period")
 
     p = add("scan", cmd_scan, help="cycle reports for all dimensions up to a bound")
     p.add_argument("--max", type=int, required=True)
@@ -418,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("export", cmd_export, help="serialize a cyclic network")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--gates", type=int, required=True)
-    p.add_argument("--format", choices=("json", "gatelist"), default="gatelist")
+    p.add_argument("--format", choices=("json", "gatelist"), default="gatelist",
+                   help="--json is the same as --format json")
 
     add("check", cmd_check, help="run the built-in invariant suite")
     return parser

@@ -64,13 +64,17 @@ class Circuit:
         return len(self.gates)
 
 
+def _check_gate_count(count: int) -> None:
+    if count > GATE_LIMIT:
+        raise SizeBudgetError(f"{count} gates exceed the {GATE_LIMIT} gate limit")
+
+
 def build_cyclic_network(d: int, gate_count: int) -> Circuit:
     """The periodic schedule: gate k controls system k mod d, targets k+1 mod d."""
     _check_modulus(d)
     if gate_count < 0:
         raise ValueError("gate_count must be >= 0")
-    if gate_count > GATE_LIMIT:
-        raise SizeBudgetError(f"{gate_count} gates exceed the {GATE_LIMIT} gate limit")
+    _check_gate_count(gate_count)
     gates = tuple(Gate(k % d, (k + 1) % d) for k in range(gate_count))
     return Circuit(d, d, gates)
 
@@ -92,16 +96,9 @@ class LinearMapZd:
         None when the matrix mixes digits instead of permuting them.
         """
         n = self.matrix.shape[0]
-        sigma = []
-        for i in range(n):
-            row = self.matrix[i]
-            ones = np.flatnonzero(row == 1)
-            if len(ones) != 1 or row.sum() != 1:
-                return None
-            sigma.append(int(ones[0]))
-        if sorted(sigma) != list(range(n)):
-            return None
-        return tuple(sigma)
+        sigma = self.matrix.argmax(axis=1)  # also 0 on an all-zero row, so compare whole rows
+        unit_rows = np.array_equal(self.matrix, np.eye(n, dtype=np.int64)[sigma])
+        return tuple(sigma.tolist()) if unit_rows and (self.matrix.sum(axis=0) == 1).all() else None
 
 
 def linear_map(circuit: Circuit) -> LinearMapZd:
@@ -113,7 +110,7 @@ def linear_map(circuit: Circuit) -> LinearMapZd:
     return LinearMapZd(circuit.d, mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceArray:
     """Per-system coefficient rows of the network over time.
 
@@ -124,10 +121,13 @@ class TraceArray:
     later columns obey column(t) = column(t-1) + column(t-d) mod d.
     Row i is row 0 delayed by i steps, so only row 0 is stored, from
     t = -2(d-1) to T: ``row0[k]`` is its entry at t = k - 2(d-1).
+    ``row0`` is one read-only array of the smallest unsigned type holding
+    d - 1; every reading is a slice of it.  ``eq=False``: an ndarray has no
+    truth value to compare or hash by, so equality is identity.
     """
 
     d: int
-    row0: tuple[int, ...]
+    row0: np.ndarray
 
     @property
     def t_start(self) -> int:
@@ -138,22 +138,29 @@ class TraceArray:
         return len(self.row0) - 2 * self.d + 1
 
     def column(self, t: int) -> tuple[int, ...]:
+        if not self.t_start <= t <= self.t_end:
+            raise IndexError(f"column {t} outside {self.t_start}..{self.t_end}")
         k = t + 2 * (self.d - 1)
-        return tuple(self.row0[k - i] for i in range(self.d))
+        return tuple(self.row0[k - self.d + 1:k + 1][::-1].tolist())
 
     def row(self, i: int) -> list[int]:
         """Coefficient sequence of initial digit i across all columns."""
-        return list(self.row0[self.d - 1 - i:len(self.row0) - i])
+        if not 0 <= i < self.d:
+            raise IndexError(f"row {i} outside 0..{self.d - 1}")
+        return self.row0[self.d - 1 - i:len(self.row0) - i].tolist()
 
     def header(self, exponents=None) -> list[int]:
         """Scalar sequence obtained by dotting columns with initial digits.
 
         With the all-ones digit vector (the default) this is exactly the
-        binomial summation sequence mod d, starting at its term 0.
+        binomial summation sequence mod d, starting at its term 0.  Any d
+        ints serve as digits: they are reduced mod d first.
         """
-        e = tuple(exponents) if exponents is not None else (1,) * self.d
-        columns = zip(*(self.row(i) for i in range(self.d)))
-        return [sum(ei * ci for ei, ci in zip(e, col)) % self.d for col in columns]
+        e = np.array(tuple(exponents) if exponents is not None else (1,) * self.d, dtype=object)
+        if e.shape != (self.d,):
+            raise ValueError(f"need {self.d} digits, got shape {e.shape}")
+        acc = np.int64 if self.d <= 2 ** 21 else object  # an entry sums d terms below d^2
+        return (np.convolve(self.row0.astype(acc), (e % self.d).astype(acc), "valid") % self.d).tolist()
 
     def linear_map(self) -> LinearMapZd:
         """The network's linear map after T gates, read off the columns.
@@ -161,9 +168,9 @@ class TraceArray:
         Gate t (counting from 1) updates system t mod d, so system s
         holds the column of its last update, t = T - (T - s) mod d.
         """
-        T = self.t_end
-        cols = [self.column(T - (T - s) % self.d) for s in range(self.d)]
-        return LinearMapZd(self.d, np.array(cols, dtype=np.int64))
+        T, d = self.t_end, self.d
+        t = T - (T - np.arange(d)) % d  # entry i of column t is row0[t + 2(d-1) - i]
+        return LinearMapZd(d, self.row0[(t + 2 * (d - 1))[:, None] - np.arange(d)].astype(np.int64))
 
 
 def trace_array(d: int, T: int) -> TraceArray:
@@ -173,10 +180,13 @@ def trace_array(d: int, T: int) -> TraceArray:
         raise ValueError("T must be >= 0")
     if T + 2 * d - 1 > TRACE_LIMIT:
         raise SizeBudgetError(f"{T + 2 * d - 1} trace coefficients exceed the {TRACE_LIMIT} limit")
+    row0 = np.zeros(T + 2 * d - 1, dtype=np.min_scalar_type(d - 1))
     # the unit columns at t <= 0 put a one in row 0 at t = -d; from t = 0 on,
     # row 0 obeys the recurrence from d ones, so it is the sequence mod d
-    prefix = [0] * (d - 2) + [1] + [0] * (d - 1)
-    return TraceArray(d, tuple(prefix + seq_stream(d, d, T + 1)))
+    row0[d - 2] = 1
+    row0[2 * d - 2:] = seq_stream(d, d, T + 1)
+    row0.flags.writeable = False
+    return TraceArray(d, row0)
 
 
 def _check_size(d: int, n: int) -> None:
@@ -385,7 +395,7 @@ def export_circuit(circuit: Circuit, format: str = "gatelist") -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Read back either serialization of export_circuit; any fault raises SwapnetError."""
+    """Read back export_circuit's text, up to GATE_LIMIT gates; any fault raises SwapnetError."""
     try:
         if text.lstrip().startswith("{"):
             doc = json.loads(text)
@@ -393,6 +403,7 @@ def parse_circuit(text: str) -> Circuit:
             if not (type(doc.get("d")) is int and type(doc.get("systems")) is int
                     and isinstance(doc.get("gates"), list)):
                 raise SwapnetError("circuit JSON needs integers 'd' and 'systems' and a 'gates' list")
+            _check_gate_count(len(doc["gates"]))
             for g in doc["gates"]:
                 if not (isinstance(g, list) and len(g) == 2 and all(type(v) is int for v in g)):
                     raise SwapnetError(f"malformed gate: {g!r}")
@@ -402,6 +413,7 @@ def parse_circuit(text: str) -> Circuit:
         head = lines[0].split() if lines else []
         if len(head) != 4 or head[0] != "DIM" or head[2] != "SYSTEMS":
             raise SwapnetError("gatelist must start with a 'DIM <d> SYSTEMS <n>' header")
+        _check_gate_count(len(lines) - 1)
         d, n = int(head[1]), int(head[3])
         gates = []
         for ln in lines[1:]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapnet import cli, cycles, factor, genfun, seqcore
+from swapnet import cli, cycles, factor, genfun, network, seqcore
 from swapnet.cli import main
 from swapnet.errors import SwapnetError
 from swapnet.network import Circuit, build_cyclic_network, export_circuit, parse_circuit
@@ -360,6 +360,15 @@ class TestSimulate:
         assert code == 1
         assert "limit" in err
 
+    def test_gate_limit_before_any_gate(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "circuit.txt"
+        path.write_text(export_circuit(build_cyclic_network(2, 4)))
+        monkeypatch.setattr(network, "GATE_LIMIT", 3)
+        monkeypatch.setattr(network, "Gate", lambda *args: pytest.fail("a Gate was built"))
+        code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "01")
+        assert code == 1 and out == ""
+        assert err == "error: 4 gates exceed the 3 gate limit\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--circuit", "/nonexistent", "--state", "00")
         assert code == 1
@@ -395,6 +404,10 @@ class TestClosedForm:
         *((["--n", "4", "--count", str(c)], 2, "usage error: --count ") for c in (118, 10 ** 6, 10 ** 30)),
         *((["--n", "3", "--tol", t, *j], 2, "usage error: tol must be finite")
           for t in ("inf", "1e400") for j in ([], ["--json"])),
+        *((["--n", "150", "--count", "-1", *j], 2, "usage error: count must be >= 0")
+          for j in ([], ["--json"])),
+        (["--n", "150", "--count", "-1", "--tol", "-1"], 2, "usage error: tol must be a number >= 0"),
+        (["--n", "1", "--count", "-1"], 2, "usage error: order must be >= 2"),
     ])
     def test_order_then_tol_before_any_root(self, capsys, monkeypatch, argv, want, msg):
         monkeypatch.setattr(genfun, "find_roots", lambda *args: pytest.fail("find_roots ran"))
@@ -414,9 +427,10 @@ class TestExport:
         assert out == "DIM 2 SYSTEMS 2\nCNOT 0 1\nCNOT 1 0\nCNOT 0 1\n"
 
     def test_json_format(self, capsys):
-        code, out, _ = run_cli(capsys, "export", "--d", "3", "--gates", "2",
-                               "--format", "json")
-        assert json.loads(out) == {"d": 3, "systems": 3, "gates": [[0, 1], [1, 2]]}
+        # --json prints the bytes of --format json, whatever --format says
+        for flags in (["--format", "json"], ["--json"], ["--json", "--format", "gatelist"]):
+            code, out, _ = run_cli(capsys, "export", "--d", "3", "--gates", "2", *flags)
+            assert code == 0 and out == '{"d":3,"systems":3,"gates":[[0,1],[1,2]]}\n', flags
 
 
 class TestCheck:
@@ -586,8 +600,8 @@ class TestFuzz:
         with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 1, 2, 3), argv
-        # RFC 8259 has no NaN or Infinity; export ignores --json, --format picks its text
-        if "--json" in argv and code in (0, 3) and verb != "export":
+        # RFC 8259 has no NaN or Infinity
+        if "--json" in argv and code in (0, 3):
             json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"{c} in {argv}"))
 
     @settings(max_examples=300)

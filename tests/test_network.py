@@ -98,6 +98,15 @@ class TestLinearMap:
             expected[i][(i + 2) % 4] = 1
         assert np.array_equal(m.matrix, expected)
 
+    @pytest.mark.parametrize("rows", [
+        [[0, 0], [0, 1]],  # an all-zero row: argmax alone would read it as digit 0
+        [[0, 1], [0, 1]],  # unit rows that repeat a digit
+        [[1, 0, 0], [0, 0, 1], [0, 0, 0]],
+        [[0, 1], [1, 1]],
+    ])
+    def test_permutation_needs_distinct_unit_rows(self, rows):
+        assert network.LinearMapZd(3, np.array(rows, dtype=np.int64)).permutation() is None
+
     @given(st.integers(2, 5), st.integers(0, 40), st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_matrix_matches_digit_oracle(self, d, count, seed):
@@ -144,6 +153,42 @@ class TestTraceArray:
         # column at t=1 is (1,1,0,0): first gate adds digit 0 into digit 1
         assert arr.column(1) == (1, 1, 0, 0)
         assert arr.header((2, 3, 0, 0))[-1] == (2 + 3) % 4
+        assert arr.header((-2, 7, 4, -9))[-1] == (-2 + 7) % 4
+
+    @given(st.integers(2, 9), st.integers(0, 200), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_header_matches_column_loop(self, d, T, data):
+        # columns from the recurrence alone, dotted one by one: no row, no slice
+        digits = data.draw(st.lists(st.integers(-10 ** 20, 10 ** 20) | st.integers(-3, 3 * d),
+                                    min_size=d, max_size=d), label="digits")
+        cols = [[int(i == t % d) for i in range(d)] for t in range(-(d - 1), 1)]
+        for _ in range(T):
+            cols.append([(a + b) % d for a, b in zip(cols[-1], cols[-d])])
+        want = [sum(e * c for e, c in zip(digits, col)) % d for col in cols]
+        assert trace_array(d, T).header(digits) == want
+
+    @pytest.mark.parametrize("read, error", [
+        (lambda arr: arr.column(-4), IndexError),  # a negative index would wrap to the end
+        (lambda arr: arr.column(27), IndexError),
+        (lambda arr: arr.row(4), IndexError),  # a slice past the end would be empty
+        (lambda arr: arr.row(-1), IndexError),  # a slice would give a shifted row
+        (lambda arr: arr.header((2, 3)), ValueError),  # zip would drop two digits
+        (lambda arr: arr.header((1,) * 5), ValueError),
+        (lambda arr: arr.header([[1, 1], [1, 1]]), ValueError),
+    ])
+    def test_readings_outside_the_array_raise(self, read, error):
+        arr = trace_array(4, 26)
+        assert arr.column(-3) == (0, 1, 0, 0) and arr.column(26) == (1, 0, 0, 3)
+        with pytest.raises(error):
+            read(arr)
+
+    def test_row_is_read_only_and_compared_by_identity(self):
+        arr, twin = trace_array(4, 26), trace_array(4, 26)
+        with pytest.raises(ValueError):
+            arr.row0[0] = 1
+        # an ndarray field cannot be compared or hashed by value; equality is identity
+        assert arr == arr and arr != twin and len({arr, twin, arr}) == 2
+        assert arr.row(0) == twin.row(0)
 
 
 class TestTraceLinearMap:
@@ -156,16 +201,23 @@ class TestTraceLinearMap:
         want = linear_map(build_cyclic_network(d, T)).matrix
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    def test_d125_cycle_peak_memory(self):
-        # one row of 390,849 small ints; a column tuple per step would need ~400 MB
+    @pytest.mark.parametrize("d, T, limit_mb", [
+        (125, 390600, 20),  # one d=125 cycle; a column tuple per step would need ~400 MB
+        (2, TRACE_LIMIT - 3, 110),  # the largest row; a tuple of Python ints peaks at 169 MB
+        (256, 1000, 1),
+        (257, 1000, 1),
+    ])
+    def test_row_bytes_and_peak_memory(self, d, T, limit_mb):
+        # one row of small ints: one byte each up to d = 256, two bytes above
         tracemalloc.start()
         try:
-            arr = trace_array(125, 390600)
+            arr = trace_array(d, T)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 10 ** 6
-        assert arr.t_end == 390600 and len(arr.row0) == 390600 + 2 * 125 - 1
+        assert peak < limit_mb * 10 ** 6
+        assert arr.t_end == T and len(arr.row0) == T + 2 * d - 1
+        assert arr.row0.nbytes == (T + 2 * d - 1) * (1 if d <= 256 else 2)
 
     def test_size_budget_before_allocation(self):
         tracemalloc.start()
@@ -500,6 +552,16 @@ class TestSerialization:
             parse_circuit("HELLO\nCNOT 0 1")
         with pytest.raises(SwapnetError):
             parse_circuit("DIM 3 SYSTEMS 3\nNOT 0 1")
+
+    @pytest.mark.parametrize("fmt", ["json", "gatelist"])
+    def test_parse_refuses_gates_past_the_limit(self, monkeypatch, fmt):
+        text = export_circuit(build_cyclic_network(3, 5), fmt) + "\n\n"
+        monkeypatch.setattr(network, "GATE_LIMIT", 5)
+        assert len(parse_circuit(text)) == 5
+        monkeypatch.setattr(network, "GATE_LIMIT", 4)
+        monkeypatch.setattr(network, "Gate", lambda *args: pytest.fail("a Gate was built"))
+        with pytest.raises(SizeBudgetError, match="5 gates exceed the 4 gate limit"):
+            parse_circuit(text)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
