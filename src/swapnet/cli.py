@@ -396,13 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("scan", cmd_scan, help="cycle reports for all dimensions up to a bound")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help="cap on each factor's period")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--csv", action="store_true", help="two-column CSV output")
 
     p = add("swap", cmd_swap, help="classify what one full network cycle does")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help="cap on each factor's period")
 
     p = add("trace", cmd_trace, help="coefficient array of the network over time")
     p.add_argument("--d", type=int, required=True)

@@ -15,14 +15,16 @@ Conventions used throughout:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
 from . import cycles
 from .errors import SizeBudgetError, SwapnetError
 from .factor import Factorization
-from .seqcore import _check_modulus, seq_stream
+from .seqcore import _check_modulus, _terms
 
 OPERATOR_SIZE_LIMIT = 10 ** 6
 TRACE_LIMIT = 10 ** 7
@@ -79,9 +81,9 @@ def build_cyclic_network(d: int, gate_count: int) -> Circuit:
     return Circuit(d, d, gates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMapZd:
-    """Action of a circuit on the exponent vector, as a matrix over Z_d."""
+    """Action of a circuit on the exponent vector, as a matrix over Z_d; compared by identity (``eq=False``)."""
 
     d: int
     matrix: np.ndarray
@@ -120,7 +122,8 @@ class TraceArray:
     Columns at t <= 0 are the unit vectors of the initial preparation;
     later columns obey column(t) = column(t-1) + column(t-d) mod d.
     Row i is row 0 delayed by i steps, so only row 0 is stored, from
-    t = -2(d-1) to T: ``row0[k]`` is its entry at t = k - 2(d-1).
+    t = -2(d-1) to T (``row0[k]`` at t = k - 2(d-1)): the sequence mod d,
+    run back for t < 0 by term(j-d) = term(j) - term(j-1) to zeros and a 1 at -d.
     ``row0`` is one read-only array of the smallest unsigned type holding
     d - 1; every reading is a slice of it.  ``eq=False``: an ndarray has no
     truth value to compare or hash by, so equality is identity.
@@ -180,11 +183,9 @@ def trace_array(d: int, T: int) -> TraceArray:
         raise ValueError("T must be >= 0")
     if T + 2 * d - 1 > TRACE_LIMIT:
         raise SizeBudgetError(f"{T + 2 * d - 1} trace coefficients exceed the {TRACE_LIMIT} limit")
-    row0 = np.zeros(T + 2 * d - 1, dtype=np.min_scalar_type(d - 1))
-    # the unit columns at t <= 0 put a one in row 0 at t = -d; from t = 0 on,
-    # row 0 obeys the recurrence from d ones, so it is the sequence mod d
-    row0[d - 2] = 1
-    row0[2 * d - 2:] = seq_stream(d, d, T + 1)
+    # t = -2(d-1) .. -1 as TraceArray says, then the sequence, cut by fromiter's count
+    terms = chain(repeat(0, d - 2), (1,), repeat(0, d - 1), _terms(d, d))
+    row0 = np.fromiter(terms, dtype=np.min_scalar_type(d - 1), count=T + 2 * d - 1)
     row0.flags.writeable = False
     return TraceArray(d, row0)
 
@@ -409,14 +410,17 @@ def parse_circuit(text: str) -> Circuit:
                     raise SwapnetError(f"malformed gate: {g!r}")
             gates = tuple(Gate(c, t) for c, t in doc["gates"])
             return Circuit(doc["d"], doc["systems"], gates)
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split() if lines else []
+        # each non-blank line from its first non-space character, counted before any line
+        # is split off; every str.splitlines break is whitespace, so the counts agree
+        lines = re.finditer(r"\S[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*", text)
+        first = next(lines, None)
+        head = first.group().split() if first else []
         if len(head) != 4 or head[0] != "DIM" or head[2] != "SYSTEMS":
             raise SwapnetError("gatelist must start with a 'DIM <d> SYSTEMS <n>' header")
-        _check_gate_count(len(lines) - 1)
+        _check_gate_count(sum(1 for _ in lines))
         d, n = int(head[1]), int(head[3])
         gates = []
-        for ln in lines[1:]:
+        for ln in [ln for ln in text.splitlines() if ln.strip()][1:]:
             parts = ln.split()
             if len(parts) != 3 or parts[0] != "CNOT":
                 raise SwapnetError(f"malformed gate line: {ln!r}")

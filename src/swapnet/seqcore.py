@@ -15,9 +15,10 @@ without ever building large integers.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
+from collections import deque
+from itertools import islice
 
 from . import ring
 from .errors import InconclusiveError, InvalidModulusError, VerificationError
@@ -122,6 +123,25 @@ def term_exact_range(d: int, count: int) -> list[int]:
     return out
 
 
+def _terms(d: int, m: int | None = None):
+    """term(0), term(1), ... forever, each reduced mod m unless m is None.
+
+    The one loop that steps the recurrence.  ``window`` holds the last d
+    terms, its left end term(j-d); both addends are below m, so one
+    subtraction reduces their sum, and with m None the terms stay exact.
+    """
+    bound = math.inf if m is None else m
+    yield from (1 for _ in range(d))  # no window yet, so a huge d serves a short count
+    window = deque([1] * d)
+    prev = 1
+    while True:
+        prev += window.popleft()
+        if prev >= bound:
+            prev -= bound
+        window.append(prev)
+        yield prev
+
+
 def exact_sequence(d: int, count: int) -> list[int]:
     """First ``count`` exact terms via the order-d recurrence.
 
@@ -131,10 +151,7 @@ def exact_sequence(d: int, count: int) -> list[int]:
     _check_order(d)
     if count < 0:
         raise ValueError("count must be >= 0")
-    terms = [1] * min(d, count)
-    for j in range(d, count):
-        terms.append(terms[j - 1] + terms[j - d])
-    return terms
+    return list(islice(_terms(d), count))
 
 
 def term_mod(j: int, d: int, m: int) -> int:
@@ -157,12 +174,7 @@ def seq_stream(d: int, m: int, count: int) -> list[int]:
     _check_modulus(m)
     if count < 0:
         raise ValueError("count must be >= 0")
-    vals = [1] * min(d, count)
-    # repeat hands out no fresh int per step as range does past 256, so a
-    # run traced by tracemalloc costs no more than an untraced one
-    for _ in itertools.repeat(None, max(count - d, 0)):
-        vals.append((vals[-1] + vals[-d]) % m)
-    return vals
+    return list(islice(_terms(d, m), count))
 
 
 def first_window_return(order: int, modulus: int, budget: int) -> tuple[int | None, tuple[int, ...] | None]:
@@ -173,39 +185,26 @@ def first_window_return(order: int, modulus: int, budget: int) -> tuple[int | No
     window equals the period.  Returns ``(P, tail)`` where ``tail`` is
     the (order-1)-tuple of terms immediately preceding the returned
     window, or ``(None, None)`` if no return happens within ``budget``
-    advance steps.
+    advance steps.  Run backwards, term(j-d) = term(j) - term(j-1)
+    gives d-1 zeros before the d initial ones, so by periodicity the
+    tail is always d-1 zeros, and P > d.
     """
     _check_order(order)
     _check_modulus(modulus)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    d = order
-    m = modulus
-    size = 2 * d
-    ring = [1] * size  # ring[t % size] holds term t over the last 2d indices
-    idx = d - 1        # position of the newest term
-    prev = 1
-    run = d            # length of the current suffix run of ones
-    step = 0
-    while step < budget:
-        step += 1
-        idx += 1
-        if idx == size:
-            idx = 0
-        # term t-d sits d slots behind the new one; a negative index wraps
-        new = prev + ring[idx - d]
-        if new >= m:
-            new -= m
-        ring[idx] = new
-        prev = new
-        if new == 1:
-            run += 1
-            if run >= d:
-                t = d - 1 + step  # absolute index of the newest term
-                tail = tuple(ring[(t - d - q) % size] for q in range(d - 2, -1, -1))
-                return step, tail
-        else:
+    terms = _terms(order, modulus)
+    kept = deque(islice(terms, order), maxlen=2 * order - 1)  # the tail, then the window
+    run = order  # length of the current suffix run of ones
+    # range, unlike islice, takes a budget past sys.maxsize
+    for step, term in zip(range(1, budget + 1), terms):
+        kept.append(term)
+        if term != 1:
             run = 0
+        else:
+            run += 1
+            if run >= order:
+                return step, tuple(kept)[:order - 1]
     return None, None
 
 

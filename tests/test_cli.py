@@ -479,6 +479,10 @@ class TestHarness:
             main(["--help"])
         assert err.value.code == 0
         assert "seq" in capsys.readouterr().out
+        for verb in ("cycle", "scan", "swap"):  # one budget rule, one help text
+            with pytest.raises(SystemExit):
+                main([verb, "--help"])
+            assert "--budget BUDGET cap on each factor's period" in " ".join(capsys.readouterr().out.split())
 
     def test_determinism_byte_identical(self, capsys):
         runs = set()

@@ -187,7 +187,8 @@ class TestTraceArray:
         with pytest.raises(ValueError):
             arr.row0[0] = 1
         # an ndarray field cannot be compared or hashed by value; equality is identity
-        assert arr == arr and arr != twin and len({arr, twin, arr}) == 2
+        for a, b in ((arr, twin), (linear_map(Circuit(3, 3)), linear_map(Circuit(3, 3)))):
+            assert a == a and a != b and len({a, b, a}) == 2
         assert arr.row(0) == twin.row(0)
 
 
@@ -203,7 +204,7 @@ class TestTraceLinearMap:
 
     @pytest.mark.parametrize("d, T, limit_mb", [
         (125, 390600, 20),  # one d=125 cycle; a column tuple per step would need ~400 MB
-        (2, TRACE_LIMIT - 3, 110),  # the largest row; a tuple of Python ints peaks at 169 MB
+        (2, TRACE_LIMIT - 3, 25),  # the largest row, 10 MB; beside a list of Python ints, 99 MB
         (256, 1000, 1),
         (257, 1000, 1),
     ])
@@ -562,6 +563,30 @@ class TestSerialization:
         monkeypatch.setattr(network, "Gate", lambda *args: pytest.fail("a Gate was built"))
         with pytest.raises(SizeBudgetError, match="5 gates exceed the 4 gate limit"):
             parse_circuit(text)
+
+    @pytest.mark.parametrize("br", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                    "\x85", "\u2028", "\u2029"])
+    def test_blank_lines_do_not_count(self, monkeypatch, br):
+        # each str.splitlines break, and blank lines of whitespace that breaks no line
+        lines = export_circuit(build_cyclic_network(3, 5), "gatelist").split("\n")
+        blanks = ["", " ", "\t", "\x1f", "\xa0", "\u3000"]
+        text = "".join(blank + br + line + br for blank, line in zip(blanks, lines))
+        monkeypatch.setattr(network, "GATE_LIMIT", 5)
+        assert parse_circuit(text) == build_cyclic_network(3, 5)
+        monkeypatch.setattr(network, "GATE_LIMIT", 4)
+        with pytest.raises(SizeBudgetError, match="5 gates exceed the 4 gate limit"):
+            parse_circuit(text)
+
+    def test_gatelist_past_the_limit_refused_before_splitting(self):
+        text = "DIM 3 SYSTEMS 3\n" + "CNOT 0 1\n" * (GATE_LIMIT + 1)  # 9 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError):
+                parse_circuit(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 10 ** 6  # a list of the lines alone would be 8 MB of pointers
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

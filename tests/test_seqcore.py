@@ -34,12 +34,22 @@ def binom_oracle(n: int, k: int) -> int:
     return out
 
 
-def seq_oracle(d: int, count: int) -> list[int]:
+def seq_oracle(d: int, count: int, m: int | None = None) -> list[int]:
     # plain recurrence unrolling, independent of the library internals
     vals = [1] * min(d, count)
     while len(vals) < count:
-        vals.append(vals[-1] + vals[-d])
+        vals.append(vals[-1] + vals[-d] if m is None else (vals[-1] + vals[-d]) % m)
     return vals
+
+
+def window_oracle(d: int, m: int, cap: int):
+    # first j whose terms j..j+d-1 mod m are all ones, with the d-1 terms before them
+    vals = [1] * d
+    for j in range(1, cap + 1):
+        vals.append((vals[-1] + vals[-d]) % m)
+        if vals[j:] == [1] * d:
+            return j, tuple(vals[j - d + 1:j])
+    return None, None
 
 
 SEQ_D4_26 = [1, 1, 1, 1, 2, 3, 4, 5, 7, 10, 14, 19, 26, 36, 50, 69, 95,
@@ -99,6 +109,7 @@ class TestPascalTable:
 
 class TestSequenceRoutes:
     def test_first_terms_are_ones(self):
+        assert exact_sequence(10 ** 30, 3) == seq_stream(10 ** 30, 7, 3) == [1] * 3  # no d-term list
         for d in range(2, 13):
             assert exact_sequence(d, d) == [1] * d
             for j in range(d):
@@ -123,6 +134,16 @@ class TestSequenceRoutes:
     def test_empty_stream(self):
         assert seq_stream(5, 7, 0) == []
         assert exact_sequence(3, 0) == []
+        for route in (lambda c: seq_stream(5, 7, c), lambda c: exact_sequence(3, c)):
+            with pytest.raises(ValueError, match="count must be >= 0"):
+                route(-1)
+
+    @given(st.integers(2, 12), st.integers(2, 50), st.integers(0, 500))
+    @settings(max_examples=100)
+    def test_routes_equal_plain_loops(self, d, m, count):
+        for n in (0, d - 1, d, d + 1, count):
+            assert exact_sequence(d, n) == seq_oracle(d, n)
+            assert seq_stream(d, m, n) == seq_oracle(d, n, m)
 
     def test_stream_invalid_modulus(self):
         with pytest.raises(InvalidModulusError):
@@ -195,9 +216,20 @@ class TestSequenceWindow:
         assert first_window_return(3, 3, 100)[0] == 8
         assert first_window_return(6, 2, 100)[0] == 63
         assert first_window_return(6, 3, 1000)[0] == 728
+        assert first_window_return(3, 3, 2 ** 70) == (8, (0, 0))  # a budget past sys.maxsize
 
     def test_first_return_budget_exhausted(self):
         assert first_window_return(3, 3, 7) == (None, None)
+
+    @given(st.integers(2, 12), st.integers(2, 50))
+    @settings(max_examples=100)
+    def test_budget_edges_match_oracle(self, d, m):
+        period, tail = window_oracle(d, m, 5000)
+        if period is None:
+            assert first_window_return(d, m, 5000) == (None, None)
+        else:
+            assert first_window_return(d, m, period) == (period, tail)
+            assert first_window_return(d, m, period - 1) == (None, None)
 
     def test_tail_is_zeros_then_one(self):
         for d, m in [(2, 2), (3, 3), (4, 4), (5, 5), (9, 9), (6, 2), (6, 3)]:
