@@ -32,6 +32,17 @@ def _passes_miller_rabin(n: int) -> bool:
     return True
 
 
+def is_proven_prime(n: int) -> bool:
+    """True iff n is prime and provably so without factoring: deterministic Miller-Rabin.
+
+    False for every composite, and for any n >= MR_LIMIT, which this test
+    cannot prove prime.
+    """
+    if n <= MR_BASES[-1]:
+        return n in MR_BASES
+    return n < MR_LIMIT and all(n % a for a in MR_BASES) and _passes_miller_rabin(n)
+
+
 def _rho_split(n: int) -> int | None:
     """A nontrivial factor of composite odd n by Brent's rho, or None.
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import MismatchError, NumericError, SizeBudgetError
 from .seqcore import exact_sequence
 
@@ -43,54 +45,106 @@ def denominator_derivative(n: int, z: complex) -> complex:
     return -1 - n * z ** (n - 1)
 
 
+def _values(zr, zi, monic):
+    """p(z_i) and prod_{j != i} (z_i - z_j) for every estimate, each as (real, imaginary) arrays.
+
+    Row 0 of (ar, ai) runs Horner's rule for p and row 1 the products, so
+    one complex product serves both: column step j multiplies row 0 by
+    z_i and row 1 by z_i - z_j, adds ``monic[j + 1]`` to row 0, and puts
+    back row 1's entry j, which must skip its factor z_j - z_j.
+    """
+    zero = np.zeros_like(zr)
+    ar = np.array([zero * zr - zero * zi + monic[0], np.ones_like(zr)])  # Horner's first step from 0
+    ai = np.array([zero * zi + zero * zr + 0.0, zero])
+    br, bi = np.array([zr, zr]), np.array([zi, zi])
+    xr, xi = br[1], bi[1]  # z_i - z_j
+    t, u = np.empty_like(ar), np.empty_like(ar)
+    add, sub, mul = np.add, np.subtract, np.multiply
+    for j, c in enumerate(monic[1:]):
+        sub(zr, zr[j], out=xr)
+        sub(zi, zi[j], out=xi)
+        keep = ar[1, j], ai[1, j]
+        # (ar br - ai bi, ar bi + ai br); the imaginary part goes to t, which then swaps with ai
+        add(mul(ar, bi, out=t), mul(ai, br, out=u), out=t)
+        sub(mul(ar, br, out=ar), mul(ai, bi, out=u), out=ar)
+        ai, t = t, ai
+        horner_r, horner_i = ar[0], ai[0]
+        add(horner_r, c, out=horner_r)  # a float c adds as the complex (c, 0.0)
+        add(horner_i, 0.0, out=horner_i)
+        ar[1, j], ai[1, j] = keep
+    return (ar[0], ai[0]), (ar[1], ai[1])
+
+
+def _correction(zr, zi, num, den):
+    """The capped corrections num / den, as the real and imaginary arrays CPython would give."""
+    (ar, ai), (br, bi) = num, den
+    zero = (br == 0) & (bi == 0)
+    br, bi = np.where(zero, ROOT_TOL, br), np.where(zero, ROOT_TOL, bi)
+    # Smith's quotient (_Py_c_quot): scale by the larger part of den, NaN if a part is NaN
+    by_real, by_imag = np.abs(br) >= np.abs(bi), np.abs(bi) >= np.abs(br)
+    ratio = bi / br
+    scale = br + bi * ratio
+    qr, qi = (ar + ai * ratio) / scale, (ai - ar * ratio) / scale
+    ratio = br / bi
+    scale = br * ratio + bi
+    qr = np.where(by_real, qr, np.where(by_imag, (ar * ratio + ai) / scale, np.nan))
+    qi = np.where(by_real, qi, np.where(by_imag, (ai * ratio - ar) / scale, np.nan))
+    step, cap = np.hypot(qr, qi), 1.0 + np.hypot(zr, zi)
+    blown = ~(step < np.inf)
+    shrink = ~blown & (step > cap)
+    f = cap / step  # delta *= f multiplies by the complex (f, 0.0)
+    qr, qi = (np.where(blown, cap, np.where(shrink, qr * f - qi * 0.0, qr)),
+              np.where(blown, 0.0, np.where(shrink, qr * 0.0 + qi * f, qi)))
+    return qr, qi
+
+
 def find_roots(n: int) -> list[complex]:
     """All n complex roots of B(z) by simultaneous (all-at-once) iteration.
 
     Starts every root estimate on the deterministic spiral
     (0.4 + 0.9i)^k, applies the simultaneous correction
-    p(z_i) / prod_{j != i} (z_i - z_j) to the monic p = -B with a
-    trust-region cap so high-degree runs cannot blow up, and stops once
-    every residual |p(root)| is below ``ROOT_TOL`` or ``ROOT_MAX_ITER``
-    sweeps are spent.  Roots come back sorted by (real, imaginary).
+    p(z_i) / prod_{j != i} (z_i - z_j) to the monic p = -B, each step
+    capped at 1 + |z_i|, and stops once every residual |p(root)| is below
+    ``ROOT_TOL`` or ``ROOT_MAX_ITER`` sweeps are spent; then any residual
+    not below ``ROOT_TOL``, NaN included, raises NumericError.  Roots come
+    back sorted by (real, imaginary).
+
+    Every correction of a sweep reads the estimates the sweep started
+    from (Jacobi style), so the n corrections run side by side: the real
+    and imaginary parts are float64 arrays, and a sweep is n column steps
+    over them, in O(n) memory.  The roots are bit for bit those of the
+    same iteration run one complex number at a time in CPython, because
+    each complex operation is written out as CPython computes it, one
+    separately rounded float64 ufunc per product and sum: the product as
+    (ar br - ai bi, ar bi + ai br); the quotient by Smith's method; a
+    float added to or multiplying a complex as the complex (c, 0.0), so
+    an imaginary part gains ``+ 0.0``; ``abs`` as ``hypot``.  numpy's
+    complex128 ufuncs are not used: their multiply may fuse a
+    multiply-add and their divide multiplies by a reciprocal, each of
+    which moves the last bit.  The products run left to right from 1,
+    and the residual that ends one sweep is the next sweep's numerator.
     """
     monic = [-c for c in reversed(series_denominator(n))]  # leading coefficient first
-
-    def ev(z: complex) -> complex:
-        acc = 0j
-        for c in monic:
-            acc = acc * z + c
-        return acc
-
     seed = 0.4 + 0.9j
     roots = [seed ** (k + 1) for k in range(n)]
+    zr, zi = np.array([z.real for z in roots]), np.array([z.imag for z in roots])
     best = float("inf")
-    for _ in range(ROOT_MAX_ITER):
-        moved = 0.0
-        current = list(roots)
-        for i in range(n):
-            z = current[i]
-            den = 1 + 0j
-            for j in range(n):
-                if j != i:
-                    den *= z - current[j]
-            if den == 0:
-                den = complex(ROOT_TOL, ROOT_TOL)
-            delta = ev(z) / den
-            step = abs(delta)
-            cap = 1.0 + abs(z)
-            if not step < float("inf"):
-                delta = complex(cap, 0.0)
-            elif step > cap:
-                delta *= cap / step
-            roots[i] = z - delta
-            moved = max(moved, abs(delta))
-        best = max(abs(ev(r)) for r in roots)
-        if best < ROOT_TOL or moved < 1e-16:
-            break
-    if best >= ROOT_TOL:
+    # early sweeps overflow to inf and NaN exactly as the complex numbers do
+    with np.errstate(all="ignore"):
+        num, den = _values(zr, zi, monic)
+        for _ in range(ROOT_MAX_ITER):
+            qr, qi = _correction(zr, zi, num, den)
+            zr, zi = zr - qr, zi - qi
+            # Python's max, as the scalar loop takes it: a NaN after the first item is passed over
+            moved = max([0.0, *np.hypot(qr, qi).tolist()])
+            num, den = _values(zr, zi, monic)
+            best = max(np.hypot(*num).tolist())
+            if best < ROOT_TOL or moved < 1e-16:
+                break
+    if not best < ROOT_TOL:  # a NaN residual, from estimates that overflowed, fails too
         raise NumericError(f"root iteration did not reach residual {ROOT_TOL} (best {best:.3e})",
                            residual=best)
-    return sorted(roots, key=lambda z: (z.real, z.imag))
+    return sorted(map(complex, zr.tolist(), zi.tolist()), key=lambda z: (z.real, z.imag))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .seqcore import _check_modulus, _terms
 OPERATOR_SIZE_LIMIT = 10 ** 6
 TRACE_LIMIT = 10 ** 7
 GATE_LIMIT = 10 ** 6
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines breaks; "\r\n" holds two
 NORM_TOL = 1e-12
 
 
@@ -412,12 +413,15 @@ def parse_circuit(text: str) -> Circuit:
             return Circuit(doc["d"], doc["systems"], gates)
         # each non-blank line from its first non-space character, counted before any line
         # is split off; every str.splitlines break is whitespace, so the counts agree
-        lines = re.finditer(r"\S[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*", text)
+        lines = re.finditer(f"\\S[^{_LINE_BREAKS}]*", text)
         first = next(lines, None)
         head = first.group().split() if first else []
         if len(head) != 4 or head[0] != "DIM" or head[2] != "SYSTEMS":
             raise SwapnetError("gatelist must start with a 'DIM <d> SYSTEMS <n>' header")
-        _check_gate_count(sum(1 for _ in lines))
+        # a break ends the line before each gate line, so the breaks bound the gates
+        # from above, and only a bound past the limit needs the exact count
+        if sum(map(text.count, _LINE_BREAKS)) > GATE_LIMIT:
+            _check_gate_count(sum(1 for _ in lines))
         d, n = int(head[1]), int(head[3])
         gates = []
         for ln in [ln for ln in text.splitlines() if ln.strip()][1:]:

@@ -22,7 +22,7 @@ from itertools import islice
 
 from . import ring
 from .errors import InconclusiveError, InvalidModulusError, VerificationError
-from .factor import _check_prime
+from .factor import _check_prime, is_proven_prime
 
 log = logging.getLogger(__name__)
 
@@ -85,13 +85,27 @@ def binom_exact(n: int, k: int) -> int:
 def binom_mod(n: int, k: int, m: int) -> int:
     """C(n, k) mod m without constructing the exact integer.
 
-    Walks Pascal rows cut to min(k, n-k) + 1 columns, so single queries
-    stay cheap even for large n.
+    For m that ``is_proven_prime`` proves prime, Lucas' theorem: C(n, k)
+    is the product of C(n_i, k_i) over the base-m digits n_i and k_i, and
+    each C(n_i, k_i) is a falling product over k_i!, which is invertible
+    since k_i < m.  Any other m walks Pascal rows cut to min(k, n-k) + 1
+    columns, so single queries stay cheap even for large n.
     """
     _check_modulus(m)
     if k < 0 or k > n:
         return 0
     k = min(k, n - k)
+    if is_proven_prime(m):
+        result = 1
+        while k:
+            (n, ni), (k, ki) = divmod(n, m), divmod(k, m)
+            if ki > ni:
+                return 0
+            num = den = 1
+            for t in range(min(ki, ni - ki)):
+                num, den = num * (ni - t) % m, den * (t + 1) % m
+            result = result * num * pow(den, -1, m) % m
+        return result
     for row in _pascal_rows(m, k, n):
         pass
     return row[k]

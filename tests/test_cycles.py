@@ -77,6 +77,30 @@ class TestFactorization:
         assert info.value.cofactor == n
 
 
+class TestIsProvenPrime:
+    @given(st.integers(-5, 10 ** 18))
+    @settings(max_examples=300)
+    def test_matches_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert factor.is_proven_prime(n) == sympy.isprime(n)
+
+    def test_small_values_and_pseudoprimes(self):
+        assert [n for n in range(60) if factor.is_proven_prime(n)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+        for n in TestFactorization.PSEUDOPRIMES:
+            assert not factor.is_proven_prime(n)
+        assert factor.is_proven_prime(2 ** 61 - 1)
+
+    def test_no_proof_past_the_deterministic_range(self):
+        # 2^89 - 1 is prime, but Miller-Rabin on the 13 bases proves nothing past MR_LIMIT
+        assert not factor.is_proven_prime(2 ** 89 - 1)
+
+    def test_never_factors(self, monkeypatch):
+        monkeypatch.setattr(Factorization, "of", staticmethod(lambda n: pytest.fail("factoring ran")))
+        assert factor.is_proven_prime(10 ** 8 + 7)
+        assert not factor.is_proven_prime(9999991 * 10000019)
+
+
 class TestPredictedCycle:
     def test_values(self):
         assert predicted_cycle(2, 2) == 30

@@ -1,5 +1,7 @@
 """Tests for root finding and the partial-fraction evaluation."""
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +37,63 @@ def numpy_roots_oracle(coefficients: tuple[float, ...]) -> list[complex]:
 
 def evaluate(coefficients: tuple[float, ...], z: complex) -> complex:
     return sum(c * z ** k for k, c in enumerate(coefficients))
+
+
+def scalar_sweep(n: int, max_iter: int) -> tuple[list[complex], float]:
+    """The root iteration one Python complex at a time: (sorted roots, last best residual).
+
+    The oracle for ``find_roots``, which must return the same roots bit
+    for bit, or raise with this residual when it is not below ROOT_TOL.
+    """
+    monic = [-c for c in reversed(series_denominator(n))]
+
+    def ev(z: complex) -> complex:
+        acc = 0j
+        for c in monic:
+            acc = acc * z + c
+        return acc
+
+    seed = 0.4 + 0.9j
+    roots = [seed ** (k + 1) for k in range(n)]
+    best = float("inf")
+    for _ in range(max_iter):
+        moved = 0.0
+        current = list(roots)
+        for i in range(n):
+            z = current[i]
+            den = 1 + 0j
+            for j in range(n):
+                if j != i:
+                    den *= z - current[j]
+            if den == 0:
+                den = complex(genfun.ROOT_TOL, genfun.ROOT_TOL)
+            delta = ev(z) / den
+            step = abs(delta)
+            cap = 1.0 + abs(z)
+            if not step < float("inf"):
+                delta = complex(cap, 0.0)
+            elif step > cap:
+                delta *= cap / step
+            roots[i] = z - delta
+            moved = max(moved, abs(delta))
+        best = max(abs(ev(r)) for r in roots)
+        if best < genfun.ROOT_TOL or moved < 1e-16:
+            break
+    return sorted(roots, key=lambda z: (z.real, z.imag)), best
+
+
+def hex_parts(roots: list[complex]) -> list[tuple[str, str]]:
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
+def assert_matches_scalar_sweep(n: int, max_iter: int = genfun.ROOT_MAX_ITER) -> None:
+    want, best = scalar_sweep(n, max_iter)
+    if best < genfun.ROOT_TOL:
+        assert hex_parts(find_roots(n)) == hex_parts(want)
+    else:
+        with pytest.raises(NumericError) as err:
+            find_roots(n)
+        assert err.value.residual.hex() == best.hex()
 
 
 class TestDenominator:
@@ -81,6 +140,39 @@ class TestFindRoots:
         with pytest.raises(NumericError) as err:
             find_roots(16)
         assert err.value.residual is not None and err.value.residual > 1e-12
+
+
+class TestBitIdentity:
+    """``find_roots`` against the same iteration one Python complex at a time."""
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_every_root_bit_for_bit(self, n):
+        assert_matches_scalar_sweep(n)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 5, 12])
+    @pytest.mark.parametrize("n", [3, 16, 40])
+    def test_cut_short_runs_report_the_same_residual(self, monkeypatch, n, max_iter):
+        # ROOT_MAX_ITER is read at call time
+        monkeypatch.setattr(genfun, "ROOT_MAX_ITER", max_iter)
+        assert_matches_scalar_sweep(n, max_iter)
+
+    @pytest.mark.skipif(not os.environ.get("SWAPNET_LONG"),
+                        reason="set SWAPNET_LONG=1 for n = 65..160 and 200 (minutes of scalar sweeps)")
+    def test_high_orders_bit_for_bit(self):
+        for n in [*range(65, 161), 200]:
+            assert_matches_scalar_sweep(n)
+
+    def test_working_memory_is_linear_in_n(self, monkeypatch):
+        # one sweep at n = 10^4; an n x n matrix of differences alone would be 1.6 GB
+        monkeypatch.setattr(genfun, "ROOT_MAX_ITER", 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericError):
+                find_roots(10 ** 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 10 ** 6
 
 
 class TestClosedForm:

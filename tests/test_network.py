@@ -577,6 +577,27 @@ class TestSerialization:
         with pytest.raises(SizeBudgetError, match="5 gates exceed the 4 gate limit"):
             parse_circuit(text)
 
+    def test_exact_count_only_when_the_breaks_pass_the_limit(self, monkeypatch):
+        # the header is the first match; the exact count reads every later one
+        read = []
+        finditer = network.re.finditer
+
+        def counted(pattern, text):
+            for match in finditer(pattern, text):
+                read.append(match)
+                yield match
+
+        monkeypatch.setattr(network.re, "finditer", counted)
+        text = export_circuit(build_cyclic_network(3, 5), "gatelist")
+        assert text.count("\n") == 5  # one break before each gate line, none after the last
+        monkeypatch.setattr(network, "GATE_LIMIT", 5)
+        assert len(parse_circuit(text)) == 5 and len(read) == 1
+        read.clear()
+        monkeypatch.setattr(network, "GATE_LIMIT", 4)
+        with pytest.raises(SizeBudgetError, match="5 gates exceed the 4 gate limit"):
+            parse_circuit(text)
+        assert len(read) == 6
+
     def test_gatelist_past_the_limit_refused_before_splitting(self):
         text = "DIM 3 SYSTEMS 3\n" + "CNOT 0 1\n" * (GATE_LIMIT + 1)  # 9 MB
         tracemalloc.start()

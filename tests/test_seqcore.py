@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swapnet import seqcore
 from swapnet.cycles import predicted_cycle
 from swapnet.errors import InconclusiveError, InvalidModulusError, InvalidPrimeError
 from swapnet.factor import Factorization
@@ -83,6 +84,29 @@ class TestBinomials:
     @given(st.integers(0, 300), st.integers(0, 300), st.sampled_from([2, 3, 4, 5, 7, 9, 12, 49]))
     def test_mod_matches_exact(self, n, k, m):
         assert binom_mod(n, k, m) == (math.comb(n, k) if k <= n else 0) % m
+
+    @given(st.integers(0, 3000), st.integers(-2, 3000),
+           st.sampled_from([2, 3, 5, 7, 13, 101, 2999, 3001, 10 ** 9 + 7, 2 ** 61 - 1]))
+    def test_lucas_for_prime_moduli(self, n, k, m):
+        # m > n included; a prime m never walks Pascal rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seqcore, "_pascal_rows", lambda *args: pytest.fail("Pascal walk"))
+            assert binom_mod(n, k, m) == (math.comb(n, k) if 0 <= k <= n else 0) % m
+
+    @given(st.integers(0, 400), st.integers(-2, 400),
+           st.sampled_from([4, 6, 8, 9, 10, 15, 25, 49, 91, 561, 1024]))
+    def test_composite_moduli(self, n, k, m):
+        assert binom_mod(n, k, m) == (math.comb(n, k) if 0 <= k <= n else 0) % m
+
+    def test_unprovable_prime_modulus_walks_pascal_rows(self, monkeypatch):
+        # 2^89 - 1 is prime past the Miller-Rabin range: no FactoringError, no factoring run
+        monkeypatch.setattr(Factorization, "of", staticmethod(lambda n: pytest.fail("factoring ran")))
+        m = 2 ** 89 - 1
+        assert binom_mod(300, 120, m) == math.comb(300, 120) % m
+
+    def test_lucas_at_large_n(self):
+        assert binom_mod(10 ** 4, 5000, 7) == math.comb(10 ** 4, 5000) % 7
+        assert binom_mod(10 ** 5, 4 * 10 ** 4, 100003) == math.comb(10 ** 5, 4 * 10 ** 4) % 100003
 
 
 class TestPascalTable:
