@@ -11,9 +11,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import cycles, genfun, network, seqcore
+from . import seqcore
 from .errors import InconclusiveError, SizeBudgetError, SwapnetError
 
 
@@ -86,6 +84,7 @@ def cmd_seq(args) -> int:
 
 
 def cmd_cycle(args) -> int:
+    from . import cycles
     report = cycles.cycle_length(args.d, args.budget)
     if args.json:
         _emit_json(report.to_dict())
@@ -100,6 +99,7 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import cycles
     entries = cycles.scan(args.max, args.budget, jobs=args.jobs)
     if args.json:
         _emit_json([e.to_dict() for e in entries])
@@ -119,6 +119,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_swap(args) -> int:
+    from . import network
     verdict = network.verify_swap(args.d, args.budget)
     if args.json:
         _emit_json({
@@ -134,6 +135,7 @@ def cmd_swap(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import network
     seqcore._check_modulus(args.d)  # an invalid d is a usage error before any size check
     # d rows of T + d coefficients each, refused before any is built
     if args.d * (args.steps + args.d) > network.TRACE_LIMIT:
@@ -157,6 +159,7 @@ def cmd_trace(args) -> int:
 
 
 def _parse_state(spec: str, d: int, n: int) -> network.StateVector:
+    from . import network
     tokens = spec.split()
     try:
         if tokens and tokens[0] == "random":
@@ -176,6 +179,7 @@ def _parse_state(spec: str, d: int, n: int) -> network.StateVector:
 
 
 def cmd_simulate(args) -> int:
+    from . import network
     try:
         with open(args.circuit, "r", encoding="ascii") as fh:
             text = fh.read()
@@ -199,6 +203,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
+    from . import genfun
     genfun.series_denominator(args.n)  # an invalid order wins over an invalid tol
     genfun.check_tol(args.tol)  # refused before any root is sought
     if math.isinf(args.tol):  # JSON has no Infinity
@@ -226,22 +231,26 @@ def cmd_closed_form(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from . import network
     circuit = network.build_cyclic_network(args.d, args.gates)
     print(network.export_circuit(circuit, "json" if args.json else args.format))
     return 0
 
 
 def _check_table_values():
+    from . import cycles
     got = [e.length for e in cycles.scan(9)]
     assert got == [3, 8, 30, 24, 6552, 48, 252, 240], got
 
 
 def _check_prime_periods():
+    from . import cycles
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         assert cycles.cycle_length_direct(p, p, p * p) == p * p - 1
 
 
 def _check_prime_power_instances():
+    from . import cycles
     for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]:
         assert cycles.verify_conjecture(p, m)
 
@@ -278,6 +287,9 @@ def _check_diagonal_periods():
 
 
 def _check_qutrit_swap():
+    import numpy as np
+
+    from . import network
     circuit = network.build_cyclic_network(3, 8)
     rng = np.random.default_rng(99)
     for _ in range(20):
@@ -293,6 +305,7 @@ def _check_qutrit_swap():
 
 
 def _check_basis_agreement():
+    from . import network
     for d in (2, 3, 4):
         circuit = network.build_cyclic_network(d, 2 * d + 1)
         mapping = network.linear_map(circuit)
@@ -303,6 +316,7 @@ def _check_basis_agreement():
 
 
 def _check_shift_consistency():
+    from . import network
     for d in range(2, 10):
         verdict = network.verify_swap(d)
         sigma = network.trace_array(d, verdict.gate_count).linear_map().permutation()
@@ -310,12 +324,14 @@ def _check_shift_consistency():
 
 
 def _check_trace_row():
+    from . import network
     row = network.trace_array(4, 26).row(0)
     assert row == [0, 0, 0, 1, 1, 1, 1, 2, 3, 0, 1, 3, 2, 2, 3, 2, 0, 2,
                    1, 3, 3, 1, 2, 1, 0, 1, 3, 0, 0, 1], row
 
 
 def _check_closed_form_values():
+    from . import genfun
     cf4 = genfun.closed_form(4)
     assert abs(cf4.alphas[-1] - 1.380277569) < 1e-6
     assert abs(cf4.betas[-1] - 0.5474879784) < 1e-6
@@ -325,11 +341,13 @@ def _check_closed_form_values():
 
 
 def _check_closed_form_terms():
+    from . import genfun
     assert genfun.compare_closed_vs_exact(4, 26, 1e-6) < 1e-6
     assert genfun.compare_closed_vs_exact(8, 26, 1e-6) < 1e-6
 
 
 def _check_serialization():
+    from . import network
     for fmt in ("json", "gatelist"):
         for circuit in (network.build_cyclic_network(3, 8), network.Circuit(5, 5)):
             assert network.parse_circuit(network.export_circuit(circuit, fmt)) == circuit

@@ -22,7 +22,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import ring
@@ -259,6 +258,7 @@ def scan(max_n: int, budget: int | None = None, jobs: int = 1) -> list[CycleRepo
     dims = list(range(2, max_n + 1))
     workers = min(jobs, len(dims), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_scan_one, dims, [budget] * len(dims)))
     return [_scan_one(n, budget) for n in dims]

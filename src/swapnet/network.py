@@ -21,7 +21,6 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from . import cycles
 from .errors import SizeBudgetError, SwapnetError
 from .factor import Factorization
 from .seqcore import _check_modulus, _terms
@@ -364,6 +363,7 @@ def verify_swap(d: int, budget: int | None = None) -> SwapVerdict:
     the cycle's map is the cyclic shift by N mod d, which the cycle
     report already holds.  The trace row and the gates are its oracles.
     """
+    from . import cycles  # simulate, trace and export need neither it nor the ring
     report = cycles.cycle_length(d, budget)
     shift = report.shift
     kind = "other"

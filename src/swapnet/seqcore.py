@@ -20,7 +20,6 @@ import math
 from collections import deque
 from itertools import islice
 
-from . import ring
 from .errors import InconclusiveError, InvalidModulusError, VerificationError
 from .factor import _check_prime, is_proven_prime
 
@@ -179,6 +178,7 @@ def term_mod(j: int, d: int, m: int) -> int:
     _check_modulus(m)
     if j < 0:
         raise ValueError("j must be >= 0")
+    from . import ring  # the only use of the ring, which needs numpy
     return int(ring.x_power(j, d, m).sum() % m)
 
 

@@ -1,4 +1,5 @@
 """Tests for period detection, composition, and induced shifts."""
+import concurrent.futures
 import json
 import logging
 import math
@@ -288,7 +289,7 @@ class TestScan:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cycles, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cycles.os, "cpu_count", lambda: cpus)
         entries = scan(max_n, jobs=jobs)
         assert started == ([workers] if workers else [])

@@ -1,0 +1,114 @@
+"""What a swapnet process imports: the lazy package namespace and each CLI verb's modules."""
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import swapnet
+from swapnet.cli import main
+from swapnet.network import build_cyclic_network, export_circuit
+
+# the 54 public names, by the submodule that defines them
+EXPORTS = {
+    "cycles": {"CycleReport", "ScanFailure", "cycle_length", "cycle_length_direct",
+               "predicted_cycle", "scan", "scan_csv", "verify_conjecture"},
+    "errors": {"FactoringError", "InconclusiveError", "InvalidModulusError",
+               "InvalidPrimeError", "MismatchError", "NumericError", "SizeBudgetError",
+               "SwapnetError", "VerificationError"},
+    "factor": {"Factorization"},
+    "genfun": {"ClosedForm", "closed_form", "compare_closed_vs_exact", "distinct_roots_check",
+               "eval_closed", "find_roots", "max_deviation", "series_denominator"},
+    "network": {"Circuit", "Gate", "LinearMapZd", "StateVector", "SwapVerdict", "TraceArray",
+                "build_cyclic_network", "export_circuit", "full_operator", "linear_map",
+                "parse_circuit", "permutation_matrix_text", "random_qudit", "simulate",
+                "trace_array", "verify_swap"},
+    "seqcore": {"PascalTable", "binom_exact", "binom_mod", "exact_sequence",
+                "first_window_return", "hockey_stick_check", "lu_tsai_period",
+                "prime_binomial_residue", "seq_stream", "term_exact", "term_exact_range",
+                "term_mod"},
+}
+NAMES = sorted(set().union(*EXPORTS.values()))
+POOL = "concurrent.futures.process"
+NUMERIC = {"numpy", "swapnet.ring", "swapnet.cycles", "swapnet.network", "swapnet.genfun"}
+PERIODS = {"swapnet.cycles", "swapnet.ring"}
+
+
+def _loaded(stderr: str) -> set[str]:
+    """Module names from ``python -X importtime`` lines: 'import time: self | cumulative | name'."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+class TestNamespace:
+    def test_export_table_is_pinned(self):
+        assert len(NAMES) == 54
+        assert {m: set(names) for m, names in swapnet._EXPORTS.items()} == EXPORTS
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_name_is_the_submodule_object(self, name):
+        module = next(m for m, names in EXPORTS.items() if name in names)
+        assert getattr(swapnet, name) is getattr(importlib.import_module(f"swapnet.{module}"), name)
+
+    def test_dir_and_all_list_every_name(self):
+        assert set(NAMES) <= set(dir(swapnet))
+        assert sorted(swapnet.__all__) == NAMES
+        namespace = {}
+        exec("from swapnet import *", namespace)
+        assert set(NAMES) <= set(namespace)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(swapnet, "no_such_name")
+
+    def test_bare_import_loads_no_submodule(self, child_env):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, swapnet; print(' '.join(sorted(sys.modules)))"],
+            capture_output=True, text=True, env=child_env, check=True)
+        loaded = set(proc.stdout.split())
+        assert "swapnet" in loaded
+        assert not {m for m in loaded if m.startswith("swapnet.")}
+        assert "numpy" not in loaded
+
+
+class TestVerbImports:
+    """Each verb runs as ``python -X importtime -m swapnet``: same stdout, fewer modules."""
+
+    @pytest.fixture
+    def circuit(self, tmp_path):
+        path = tmp_path / "qutrit.txt"
+        path.write_text(export_circuit(build_cyclic_network(3, 8), "gatelist"), encoding="ascii")
+        return str(path)
+
+    def _run(self, capsys, child_env, argv):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "swapnet", *argv],
+                              capture_output=True, text=True, env=child_env)
+        code = main(list(argv))
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+        return _loaded(proc.stderr)
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["seq", "--d", "4", "--count", "26"], NUMERIC),
+        (["seq", "--d", "5", "--count", "40", "--mod", "7", "--json"], NUMERIC),
+        (["simulate", "--circuit", "CIRCUIT", "--state", "120"], PERIODS),
+        (["trace", "--d", "4", "--steps", "12"], PERIODS),
+        (["export", "--d", "3", "--gates", "8", "--json"], PERIODS),
+        (["closed-form", "--n", "4"], {"swapnet.network", "swapnet.cycles"}),
+        (["cycle", "--d", "9"], {"swapnet.network", "swapnet.genfun"}),
+    ])
+    def test_verb_loads_only_what_it_runs(self, capsys, child_env, circuit, argv, absent):
+        argv = [circuit if a == "CIRCUIT" else a for a in argv]
+        loaded = self._run(capsys, child_env, argv)
+        assert "swapnet.cli" in loaded
+        assert not (absent | {POOL}) & loaded
+
+    @pytest.mark.parametrize("argv, dims", [
+        (["scan", "--max", "5", "--jobs", "2"], 4),
+        (["scan", "--max", "2", "--jobs", "2"], 1),
+        (["scan", "--max", "5"], 4),
+    ])
+    def test_only_a_parallel_scan_loads_the_pool(self, capsys, child_env, argv, dims):
+        jobs = int(argv[-1]) if "--jobs" in argv else 1
+        loaded = self._run(capsys, child_env, argv)
+        assert (POOL in loaded) == (min(jobs, dims, os.cpu_count() or 1) > 1)

@@ -10,10 +10,20 @@ FACTORING = {"Factorization", "_passes_miller_rabin", "_rho_split", "_check_prim
              "TRIAL_LIMIT", "MR_BASES", "MR_LIMIT", "RHO_STEPS"}
 
 
-def _imports(tree):
+def _module_level(tree):
+    """The nodes that run when the module is imported: all but function bodies."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(child for child in ast.iter_child_nodes(node)
+                    if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def _imports(tree, walk=ast.walk):
     """(package modules, other top-level modules) that one module imports, at any depth."""
     own, other = set(), set()
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Import):
             targets = [(a.name, ()) for a in node.names]
         elif isinstance(node, ast.ImportFrom):  # the package imports itself relatively
@@ -83,3 +93,17 @@ def test_seqcore_holds_no_factoring():
 def test_network_and_cycles_import_factor_directly():
     for name in ("network", "cycles", "seqcore"):
         assert "factor" in _imports(TREES[name])[0], name
+
+
+def test_light_modules_load_neither_numpy_nor_a_process_pool():
+    # an import inside a function body waits for its call, so only module-level ones count
+    graph = {name: _imports(tree, _module_level) for name, tree in TREES.items()}
+    for root in ("__init__", "cli", "seqcore", "factor", "errors"):
+        reached, todo = set(), [root]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(graph[name][0])
+        other = set().union(*(graph[name][1] for name in reached))
+        assert not {"numpy", "concurrent"} & other, (root, sorted(reached))
