@@ -86,8 +86,8 @@ class Factorization:
 
     Every prime is proven: trial division up to TRIAL_LIMIT, then each
     cofactor is either below TRIAL_LIMIT^2 (hence prime), proven prime by
-    deterministic Miller-Rabin, or split by Brent's rho.  A cofactor that
-    none of these settles raises FactoringError.
+    ``is_proven_prime``, or split by Brent's rho.  A cofactor that none of
+    these settles raises FactoringError.
     """
 
     n: int
@@ -108,15 +108,15 @@ class Factorization:
         pending = [left] if left > 1 else []
         while pending:
             c = pending.pop()
-            if c >= p * p and not _passes_miller_rabin(c):
+            if c < p * p or is_proven_prime(c):  # no factor below p, so prime if below p^2
+                counts[c] = counts.get(c, 0) + 1
+            elif _passes_miller_rabin(c):  # probably prime, but past MR_LIMIT
+                raise FactoringError(f"cannot prove {c} prime", cofactor=c)
+            else:
                 g = _rho_split(c)
                 if g is None:
                     raise FactoringError(f"cannot split composite {c}", cofactor=c)
                 pending += [g, c // g]
-            elif c >= MR_LIMIT:
-                raise FactoringError(f"cannot prove {c} prime", cofactor=c)
-            else:  # no factor below p, so prime if below p^2
-                counts[c] = counts.get(c, 0) + 1
         return cls(n, tuple(sorted(counts.items())))
 
     @property
@@ -125,5 +125,5 @@ class Factorization:
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or Factorization.of(p).factors != ((p, 1),):
-        raise InvalidPrimeError(f"p must be prime, got {p}")
+    if not is_proven_prime(p):
+        raise InvalidPrimeError(f"p must be a proven prime, got {p}")

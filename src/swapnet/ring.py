@@ -59,9 +59,9 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def poly_divmod(a, b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by nonzero b over F_p; a may be a ring element."""
-    r = [int(c) % p for c in a]
+def poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by nonzero b over F_p."""
+    r = [c % p for c in a]
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
     quot = [0] * max(len(r) - db, 0)
@@ -87,9 +87,9 @@ def distinct_degree(d: int, p: int) -> dict[int, list[int]]:
     """{k: g_k}, where g_k is the product of the degree-k irreducible factors of f mod p.
 
     Distinct-degree factorisation: g_k = gcd(x^(p^k) - x, rest), with x^(p^k)
-    from ``x_power`` in R_p, since every g_k divides f.  It assumes f is
-    squarefree mod p, which holds whenever p | d: then f' = x^(d-2) and
-    f(0) = -1.
+    from ``x_power`` in R_p, since every g_k divides f; the gcd's first
+    division reduces it mod rest.  It assumes f is squarefree mod p, which
+    holds whenever p | d: then f' = x^(d-2) and f(0) = -1.
     """
     if d % p:
         raise ValueError(f"f is split only mod a prime p dividing d, got d={d}, p={p}")
@@ -97,10 +97,9 @@ def distinct_degree(d: int, p: int) -> dict[int, list[int]]:
     split = {}
     k = 1
     while 2 * k < len(rest):  # otherwise rest has at most one factor left
-        h = poly_divmod(x_power(p ** k, d, p), rest, p)[1]
-        h += [0] * (2 - len(h))
-        h[1] = (h[1] - 1) % p
-        g = poly_gcd(rest, _trim(h), p)
+        h = x_power(p ** k, d, p).tolist()
+        h[1] = (h[1] - 1) % p  # x^(p^k) - x; d >= 2, so h has a degree-1 slot
+        g = poly_gcd(_trim(h), rest, p)
         if len(g) > 1:
             split[k] = g
             rest = poly_divmod(rest, g, p)[0]

@@ -15,15 +15,12 @@ without ever building large integers.
 """
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from itertools import islice
 
 from .errors import InconclusiveError, InvalidModulusError, VerificationError
 from .factor import _check_prime, is_proven_prime
-
-log = logging.getLogger(__name__)
 
 
 def _check_modulus(m: int) -> None:
@@ -233,19 +230,14 @@ def hockey_stick_check(j: int, k: int) -> bool:
 def prime_binomial_residue(p: int, j: int) -> int:
     """C(p+j, p-1) mod p, verified against its residue pattern.
 
-    For j >= 0 the value is 1 exactly when j = p-1 (mod p) and 0
-    otherwise; that pattern is asserted.  The j = -1 input reduces to
-    C(p-1, p-1) = 1, which matches the j = p-1 branch once -1 is read
-    mod p; it is accepted and logged rather than asserted, since the
-    boundary is only pinned down by direct computation.
+    For every j >= -1 the value is 1 exactly when j = p-1 (mod p) and 0
+    otherwise; that pattern is asserted.  At j = -1 it reads C(p-1, p-1) = 1,
+    and -1 = p-1 (mod p).
     """
     _check_prime(p)
     if j < -1:
         raise ValueError("j must be >= -1")
     res = binom_mod(p + j, p - 1, p)
-    if j == -1:
-        log.info("prime_binomial_residue(p=%d, j=-1) = %d (boundary case, not asserted)", p, res)
-        return res
     expected = 1 if j % p == p - 1 else 0
     if res != expected:
         raise VerificationError(

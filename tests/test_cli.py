@@ -178,6 +178,11 @@ class TestScan:
             "d": 6, "inconclusive": True, "budget": 0,
             "reason": "cannot split composite 728 (order 6, mod 3)"}
 
+    def test_csv_inconclusive_row_exit_3(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--max", "10", "--csv", "--budget", "1000")
+        assert code == 3
+        assert out.splitlines()[-2:] == ["9,240", "10,inconclusive"]
+
     def test_partial_failure_exit_3(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--max", "6", "--budget", "10")
         assert code == 3
@@ -445,6 +450,26 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["ok"] is True
         assert all(c["ok"] for c in doc["checks"])
+
+    @pytest.fixture
+    def one_failing(self, monkeypatch):
+        def fail():
+            raise ValueError("planted fault")
+        checks = [(name, fail if name == "pascal-rule" else fn) for name, fn in cli.CHECKS]
+        monkeypatch.setattr(cli, "CHECKS", checks)
+
+    def test_failure_line_exit_1(self, capsys, one_failing):
+        code, out, _ = run_cli(capsys, "check")
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("ok  ")] == [
+            "FAIL pascal-rule: planted fault"]
+        assert out.count("ok  ") == 13
+
+    def test_failure_json_exit_1(self, capsys, one_failing):
+        code, out, _ = run_cli(capsys, "check", "--json")
+        doc = json.loads(out)
+        assert code == 1 and doc["ok"] is False
+        assert [c["name"] for c in doc["checks"] if not c["ok"]] == ["pascal-rule"]
 
 
 class TestHarness:

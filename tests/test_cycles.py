@@ -102,6 +102,19 @@ class TestIsProvenPrime:
         assert not factor.is_proven_prime(9999991 * 10000019)
 
 
+class TestCheckPrime:
+    # a composite past MR_LIMIT with no small factor, and a prime past it
+    UNPROVABLE = ((2 ** 127 - 1) * (2 ** 61 - 1), 2 ** 89 - 1)
+
+    @pytest.mark.parametrize("n", UNPROVABLE, ids=["composite", "prime"])
+    def test_refuses_what_miller_rabin_cannot_prove(self, monkeypatch, n):
+        monkeypatch.setattr(Factorization, "of", staticmethod(lambda n: pytest.fail("factoring ran")))
+        with pytest.raises(InvalidPrimeError):
+            _check_prime(n)
+        with pytest.raises(InvalidPrimeError):
+            predicted_cycle(n, 1)
+
+
 class TestPredictedCycle:
     def test_values(self):
         assert predicted_cycle(2, 2) == 30
@@ -217,6 +230,12 @@ class TestVerifyConjecture:
     def test_budget_below_prediction(self):
         with pytest.raises(InconclusiveError):
             verify_conjecture(3, 2, budget=100)
+
+    def test_no_window_return(self, monkeypatch):
+        monkeypatch.setattr(cycles, "first_window_return", lambda d, m, budget: (None, None))
+        with pytest.raises(InconclusiveError, match="no window return within 480 steps") as info:
+            verify_conjecture(3, 2)
+        assert info.value.steps == 480
 
 
 class TestInducedShift:

@@ -222,6 +222,16 @@ class TestClosedForm:
         seq = exact_sequence(4, 51)
         assert seq[50] / seq[49] == pytest.approx(dominant, rel=0.01)
 
+    @pytest.mark.parametrize("roots, msg", [
+        ([0.5, 0.5], "reciprocal roots 0 and 1 coincide"),
+        ([0.5 + 0.5j, 0.6 - 0.1j], "not closed under conjugation"),
+        ([0.5, 2.0], "weights sum to"),  # real and distinct, but not the roots of 1 - z - z^2
+    ])
+    def test_guards_refuse_wrong_roots(self, monkeypatch, roots, msg):
+        monkeypatch.setattr(genfun, "find_roots", lambda n: [complex(r) for r in roots])
+        with pytest.raises(NumericError, match=msg):
+            closed_form(2)
+
     def test_to_dict_shape(self):
         doc = closed_form(3).to_dict()
         assert doc["n"] == 3

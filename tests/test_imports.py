@@ -89,8 +89,8 @@ class TestVerbImports:
         return _loaded(proc.stderr)
 
     @pytest.mark.parametrize("argv, absent", [
-        (["seq", "--d", "4", "--count", "26"], NUMERIC),
-        (["seq", "--d", "5", "--count", "40", "--mod", "7", "--json"], NUMERIC),
+        (["seq", "--d", "4", "--count", "26"], NUMERIC | {"logging"}),
+        (["seq", "--d", "5", "--count", "40", "--mod", "7", "--json"], NUMERIC | {"logging"}),
         (["simulate", "--circuit", "CIRCUIT", "--state", "120"], PERIODS),
         (["trace", "--d", "4", "--steps", "12"], PERIODS),
         (["export", "--d", "3", "--gates", "8", "--json"], PERIODS),

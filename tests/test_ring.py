@@ -148,6 +148,14 @@ class TestDistinctDegree:
             assert got == Counter(g.degree() for g, _ in factors), (d, p)
             assert all(mult == 1 for _, mult in factors)  # squarefree since p | d
 
+    @pytest.mark.parametrize("d,p", [(42, 2), (42, 3), (42, 7), (102, 2), (210, 2)])
+    def test_products_match_sympy_past_40(self, d, p):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.galoistools import gf_ddf_zassenhaus
+        f = [1, p - 1] + [0] * (d - 2) + [p - 1]  # f mod p, highest degree first
+        want = {k: [int(c) for c in reversed(g)] for g, k in gf_ddf_zassenhaus(f, p, sympy.ZZ)}
+        assert ring.distinct_degree(d, p) == want
+
     @pytest.mark.parametrize("d,p", [(6, 2), (10, 5), (12, 3), (22, 11)])
     def test_product_is_f(self, d, p):
         prod = [1]

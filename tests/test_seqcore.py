@@ -1,4 +1,5 @@
 """Tests for the sequence core: dual routes, identities, periods."""
+import logging
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from swapnet import seqcore
 from swapnet.cycles import predicted_cycle
-from swapnet.errors import InconclusiveError, InvalidModulusError, InvalidPrimeError
+from swapnet.errors import InconclusiveError, InvalidModulusError, InvalidPrimeError, VerificationError
 from swapnet.factor import Factorization
 from swapnet.seqcore import (
     PascalTable,
@@ -291,10 +292,18 @@ class TestPrimeBinomialResidue:
                 assert prime_binomial_residue(p, j) == expected
                 assert binom_oracle(p + j, p - 1) % p == expected
 
-    def test_boundary_minus_one(self):
+    def test_boundary_minus_one(self, caplog):
         # C(p-1, p-1) = 1; consistent with the j = p-1 branch, not the 0 branch
+        caplog.set_level(logging.DEBUG, logger="swapnet")
         assert binom_oracle(4, 4) == 1
-        assert prime_binomial_residue(5, -1) == 1
+        primes = [p for p in range(2, 102) if Factorization.of(p).factors == ((p, 1),)]
+        assert all(prime_binomial_residue(p, -1) == 1 for p in primes)
+        assert caplog.records == []  # asserted like every j, so nothing to log
+
+    def test_minus_one_is_asserted(self, monkeypatch):
+        monkeypatch.setattr(seqcore, "binom_mod", lambda n, k, m: 0)
+        with pytest.raises(VerificationError):
+            prime_binomial_residue(5, -1)
 
     def test_not_prime(self):
         with pytest.raises(InvalidPrimeError):
