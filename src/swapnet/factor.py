@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import FactoringError, InvalidPrimeError
 
@@ -80,18 +79,35 @@ def _rho_split(n: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
 class Factorization:
     """Prime factorization n = p1^m1 * ... * pr^mr, primes increasing.
 
     Every prime is proven: trial division up to TRIAL_LIMIT, then each
     cofactor is either below TRIAL_LIMIT^2 (hence prime), proven prime by
     ``is_proven_prime``, or split by Brent's rho.  A cofactor that none of
-    these settles raises FactoringError.
+    these settles raises FactoringError.  Instances are immutable values:
+    equal, hashed and shown by (n, factors).
     """
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
+        self.__dict__.update(n=n, factors=factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.factors) == (other.n, other.factors)
+
+    def __hash__(self):
+        return hash((self.n, self.factors))
+
+    def __repr__(self):
+        return f"Factorization(n={self.n!r}, factors={self.factors!r})"
 
     @classmethod
     def of(cls, n: int) -> "Factorization":

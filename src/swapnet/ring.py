@@ -5,10 +5,63 @@ mod q is the impulse response of the order-d recurrence: its period is
 the multiplicative order of x in R_q, and term j is the coefficient sum
 of x^j (the d initial terms are all ones).  Elements are numpy vectors
 of d coefficients, lowest degree first.
+
+``mul`` forms the 2d - 1 product coefficients in one of two ways and
+folds them once by x^d = x^(d-1) + 1.  For vectors of exact ints (dtype
+object, where d (q-1)^2 passes int64), and for d below FFT_MIN_D per
+limb (below), the product is ``np.convolve``, O(d^2).  Otherwise it is
+an exact real-FFT product, O(d log d): numpy's ``rfft`` of both operands
+zero padded to the power of two N >= 2d - 1 (one transform for a
+squaring), a pointwise product, ``irfft``, and ``rint``.  Rounding gives
+the exact integers when the float64 error is below 1/2, which
+``fft_error`` bounds from d, the largest entry and N before any
+transform runs, and which ``mul`` asserts on every call:
+
+- Percival (Math. Comp. 72 (2003), 387-395, Theorem 5.1): the cyclic
+  convolution z of x and y by radix-2 transforms of length 2^n, in
+  floating point with unit roundoff eps and twiddles within beta of the
+  exact roots of unity, has |z' - z|_inf < |x| |y| ((1 + eps)^(3n)
+  (1 + eps sqrt 5)^(3n+1) (1 + beta)^(3n) - 1), |.| the Euclidean norm.
+- Operands have d entries in [0, t], so |x| |y| <= d t^2, and the zero
+  padding to N changes neither norm.  Float64 has eps = 2^-53.
+- Twiddle error: the bound takes beta = TWIDDLE_ERROR = 2^-50 = 8 eps.
+  numpy's transform of a unit impulse, which passes its twiddles through
+  every layer, lies within 2.1 eps of exp(-2 pi i k / N) for N up to
+  2^16 (numpy 2.4; tests/test_ring.py checks it against 40-digit roots).
+- Layers: pocketfft runs a power-of-two transform as radix-4 passes;
+  each does the additions of two radix-2 layers with one twiddle product
+  where those do two.  A real transform of length N is a complex
+  transform of length N/2 plus one extra butterfly layer, with twiddles
+  of its own, that splits the halves.  The bound charges each transform
+  n = log2 N + 1 layers, one more than a complex transform of length N.
+- (1 + u)^k <= exp(k u), and exp(y) - 1 <= y / (1 - y) for 0 <= y < 1,
+  so the error is below d t^2 y / (1 - y) with
+  y = (3n (1 + beta/eps) + (3n + 1) sqrt 5) eps.  sqrt 5 is taken as
+  2.2361, which more than covers the rounding of this float64 sum.
+- y > 2^-50, so error < 1/2 forces d t^2 < 2^49: every exact coefficient,
+  and every input to the transforms, is an integer below 2^53.
+
+Where one limb (t = q - 1) fails the bound, each operand is split into
+L limbs of s = ceil(b / L) bits, b the bit length of q - 1, so
+t = 2^s - 1 and a = sum a_i 2^(s i).  L is the smallest count that
+passes.  For q <= d, as in every period, L = 1 up to d = 19856 and
+L = 2 from there to RING_LIMIT.  Each limb product c_ij is rounded
+exactly on its own; sum c_ij 2^(s (i+j)) is recombined mod q by Horner's
+rule in 2^s mod q, in int64: every step stays below q^2, and an int64
+vector has d (q-1)^2 < 2^63.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+# measured crossover (2-vCPU x86_64, numpy 2.4): a one-limb squaring at d = 192 took
+# 39.7 us by np.convolve and 45.4 us by FFT, at d = 208 47.9 and 44.1 us; L limbs
+# cost about L times more
+FFT_MIN_D = 200
+TWIDDLE_ERROR = 2.0 ** -50  # beta, the bound's allowance for each twiddle of pocketfft
+EPS = 2.0 ** -53  # unit roundoff of float64
 
 
 def _dtype(d: int, q: int):
@@ -16,12 +69,60 @@ def _dtype(d: int, q: int):
     return np.int64 if d * (q - 1) ** 2 < 2 ** 63 else object
 
 
+def fft_error(d: int, top: int, size: int) -> float:
+    """Bound on the float64 error of one FFT product (module docstring).
+
+    The operands have d entries in [0, top] and the real transforms have
+    length ``size``, a power of two.
+    """
+    layers = size.bit_length()  # log2(size) + 1: the real transform's extra layer
+    y = (3 * layers * (1 + TWIDDLE_ERROR / EPS) + (3 * layers + 1) * 2.2361) * EPS
+    return d * top * top * y / (1 - y)
+
+
+@functools.lru_cache(maxsize=None)
+def fft_limbs(d: int, q: int) -> tuple[int, int, int]:
+    """(L, s, N): the fewest limbs of s bits whose FFT product of length N is exact."""
+    size = 1 << (2 * d - 2).bit_length()  # the power of two >= 2d - 1
+    bits = (q - 1).bit_length()
+    count = 1
+    while fft_error(d, min(q - 1, 2 ** -(-bits // count) - 1), size) >= 0.5:
+        count += 1
+    return count, -(-bits // count), size
+
+
+def _fft_product(a: np.ndarray, b: np.ndarray, d: int, q: int) -> np.ndarray:
+    """The 2d - 1 coefficients of a * b mod q, by exact real FFTs of int64 limbs."""
+    count, width, size = fft_limbs(d, q)
+    assert fft_error(d, min(q - 1, 2 ** width - 1), size) < 0.5
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+
+    def spectra(v):
+        limbs = [v] if count == 1 else [v >> width * i & 2 ** width - 1 for i in range(count)]
+        return [rfft(limb, size) for limb in limbs]
+
+    fa = spectra(a)
+    fb = fa if b is a else spectra(b)
+    sums = [0] * (2 * count - 1)  # sums[k]: the limb products of weight 2^(s k)
+    for i in range(count):
+        for j in range(i if b is a else 0, count):  # a squaring has c_ij = c_ji
+            c = np.rint(irfft(fa[i] * fb[j], size)[:2 * d - 1]).astype(np.int64)
+            sums[i + j] += c if i == j or b is not a else 2 * c
+    prod = sums[-1] % q
+    for c in reversed(sums[:-1]):  # Horner in 2^s, every step below q^2
+        prod = (prod * (2 ** width % q) + c % q) % q
+    return prod
+
+
 def mul(a: np.ndarray, b: np.ndarray, d: int, q: int) -> np.ndarray:
-    """a * b in R_q, for coefficient vectors of length d."""
-    prod = np.convolve(a, b) % q
+    """a * b in R_q, for coefficient vectors of length d; ``b is a`` squares."""
+    if a.dtype == object or d < FFT_MIN_D * fft_limbs(d, q)[0]:
+        prod = np.convolve(a, b) % q
+    else:
+        prod = _fft_product(a, b, d, q)
     # x^d = x^(d-1) + 1: degree k >= d flows to k-1 and k-d, from the top down,
     # so the d-1 high coefficients reach the low half as a reversed cumulative sum
-    s = np.cumsum(prod[:d - 1:-1])[::-1]
+    s = prod[:d - 1:-1].cumsum()[::-1]
     low = prod[:d]
     low[:d - 1] += s  # s has d-1 entries; a bare `low += s` would broadcast at d=2
     low[d - 1] += s[0]
@@ -37,11 +138,11 @@ def x_power(n: int, d: int, q: int) -> np.ndarray:
     r[n >> low_bits] = 1  # the leading bits of n give a power below d: a bare monomial
     for i in reversed(range(low_bits)):
         r = mul(r, r, d, q)
-        if n >> i & 1:
+        if n >> i & 1:  # x * r, then x^d -> x^(d-1) + 1: only r[d-1] can pass q
             carry = r[d - 1]
-            r = np.roll(r, 1)  # x * r, then x^d -> x^(d-1) + 1
-            r[d - 1] += carry
-            r %= q
+            r[1:] = r[:-1]
+            r[0] = carry
+            r[d - 1] = (r[d - 1] + carry) % q
     return r
 
 

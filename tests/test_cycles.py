@@ -629,3 +629,30 @@ class TestFactoringFallback:
                                       "60240069161242191853638732882447801140033173 "
                                       "(order 44, mod 11)", 0)
 
+
+# every d = p^m with m >= 2 up to 20000: 66 of them
+PRIME_POWERS = sorted(p ** m for p in range(2, 142) if factor.is_proven_prime(p)
+                     for m in range(2, 15) if p ** m <= 20000)
+
+
+class TestPrimePowerSweep:
+    """cycle_length(p^m) certifies N = p^(m-1) (p^(2m) - 1), with FFT ring products."""
+
+    def _assert_predicted(self, monkeypatch, d):
+        monkeypatch.setattr(cycles, "first_window_return", _no_brute_force)
+        p, m = Factorization.of(d).factors[0]
+        report = cycle_length(d)
+        assert (report.length, report.method) == (predicted_cycle(p, m), "predicted-and-verified")
+
+    def test_table(self):
+        assert len(PRIME_POWERS) == 66 and PRIME_POWERS[-1] == 19683
+
+    @pytest.mark.parametrize("d", [d for d in PRIME_POWERS if ring.FFT_MIN_D <= d <= 1000])
+    def test_fft_range(self, monkeypatch, d):
+        self._assert_predicted(monkeypatch, d)
+
+    @pytest.mark.skipif(not os.environ.get("SWAPNET_LONG"),
+                        reason="set SWAPNET_LONG=1 for every p^m up to 20000 (about 10 s)")
+    @pytest.mark.parametrize("d", PRIME_POWERS)
+    def test_every_prime_power_to_20000(self, monkeypatch, d):
+        self._assert_predicted(monkeypatch, d)

@@ -47,6 +47,135 @@ class TestMul:
         assert ring.mul(x, x, 2, 5).tolist() == [1, 1]
 
 
+def largest_modulus(d, limbs):
+    """The largest q of an int64 ring of order d whose FFT product takes at most ``limbs`` limbs."""
+    lo, hi = 2, 2 ** 63
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        fits = ring._dtype(d, mid) is np.int64 and ring.fft_limbs(d, mid)[0] <= limbs
+        lo, hi = (mid, hi) if fits else (lo, mid)
+    return lo
+
+
+def all_top_square(d, q):
+    """mul_oracle of the all-(q-1) vector by itself, in O(d): the product is a triangle."""
+    prod = [(q - 1) ** 2 * min(k + 1, 2 * d - 1 - k) for k in range(2 * d - 1)]
+    for k in range(2 * d - 2, d - 1, -1):
+        prod[k - 1] += prod[k]
+        prod[k - d] += prod[k]
+    return [c % q for c in prod[:d]]
+
+
+@st.composite
+def crossover_pairs(draw):
+    """Pairs on both sides of FFT_MIN_D, with moduli of one and of two limbs."""
+    lo = ring.FFT_MIN_D
+    d = draw(st.one_of(st.integers(lo - 6, lo + 6), st.integers(2 * lo - 3, 2 * lo + 3)))
+    q = draw(st.sampled_from([2, 3, 7, d, 2 ** 16 + 1, largest_modulus(d, 1),
+                              largest_modulus(d, 1) + 1, largest_modulus(d, 2)]))
+    coeffs = st.lists(st.integers(0, q - 1), min_size=d, max_size=d)
+    return d, q, draw(coeffs), draw(coeffs)
+
+
+class TestFFTProduct:
+    """The exact real-FFT route of ``mul``, from FFT_MIN_D coefficients per limb up."""
+
+    @given(crossover_pairs())
+    @settings(max_examples=40)
+    def test_matches_schoolbook_and_convolve(self, case):
+        d, q, a, b = case
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        assert ring.mul(a, b, d, q).tolist() == mul_oracle(a, b, d, q)
+        assert ring._fft_product(a, b, d, q).tolist() == (np.convolve(a, b) % q).tolist()
+        assert ring._fft_product(a, a, d, q).tolist() == (np.convolve(a, a) % q).tolist()
+
+    @pytest.mark.parametrize("limbs", [1, 2])
+    def test_square_makes_one_transform_per_limb(self, monkeypatch, limbs):
+        d = 2 * ring.FFT_MIN_D
+        q = largest_modulus(d, limbs)
+        assert ring.fft_limbs(d, q)[0] == limbs
+        rng = np.random.default_rng(limbs)
+        a, b = rng.integers(0, q, d), rng.integers(0, q, d)
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda v, n: calls.append(n) or rfft(v, n))
+        square = ring.mul(a, a, d, q)
+        assert len(calls) == limbs
+        assert ring.mul(a, a.copy(), d, q).tolist() == square.tolist()  # distinct operands
+        assert len(calls) == 3 * limbs
+        assert square.tolist() == mul_oracle(a, a, d, q)
+        assert ring.mul(a, b, d, q).tolist() == mul_oracle(a, b, d, q)
+
+    @pytest.mark.parametrize("limbs", [1, 2])
+    def test_worst_case_operands_at_the_largest_modulus(self, limbs):
+        d = 4096
+        q = largest_modulus(d, limbs)
+        count, width, size = ring.fft_limbs(d, q)
+        assert count == limbs
+        top = np.full(d, q - 1, dtype=np.int64)
+        assert ring.mul(top, top, d, q).tolist() == all_top_square(d, q)
+        assert ring.mul(top, top.copy(), d, q).tolist() == all_top_square(d, q)
+        assert ring._fft_product(top, top, d, q).tolist() == (np.convolve(top, top) % q).tolist()
+        # the float error the bound covers, measured on the largest limb
+        limb = np.full(d, min(q - 1, 2 ** width - 1), dtype=np.int64)
+        spectrum = np.fft.rfft(limb, size)
+        raw = np.fft.irfft(spectrum * spectrum, size)[:2 * d - 1]
+        exact = np.convolve(limb, limb).astype(float)
+        assert np.abs(raw - exact).max() < ring.fft_error(d, int(limb[0]), size) < 0.5
+
+    def test_worst_case_where_periods_leave_one_limb(self):
+        # q = d is the largest modulus of a period; one limb holds up to d = 19856
+        for d, limbs in ((19856, 1), (19857, 2)):
+            assert ring.fft_limbs(d, d)[0] == limbs
+            top = np.full(d, d - 1, dtype=np.int64)
+            assert ring.mul(top, top, d, d).tolist() == all_top_square(d, d)
+
+    def test_bound_edges_pick_the_limb_count(self):
+        d = 4096
+        q = largest_modulus(d, 1)
+        size = ring.fft_limbs(d, q)[2]
+        assert size == 8192
+        assert ring.fft_error(d, q - 1, size) < 0.5 <= ring.fft_error(d, q, size)
+        assert ring.fft_limbs(d, q)[0] == 1 and ring.fft_limbs(d, q + 1)[0] == 2
+        assert ring.fft_limbs(d, 4 * q)[:2] == (2, -(-(4 * q - 1).bit_length() // 2))
+        assert ring.fft_limbs(10 ** 6, 10 ** 6)[0] == 2  # two limbs up to RING_LIMIT
+        assert ring.fft_limbs(2, 2) == (1, 1, 4)
+        assert ring.fft_error(d, 0, size) == 0
+
+    def test_routes_at_the_crossover(self, monkeypatch):
+        calls = []
+        product = ring._fft_product
+        monkeypatch.setattr(ring, "_fft_product", lambda *args: calls.append(args[2]) or product(*args))
+        lo = ring.FFT_MIN_D
+        for d in (lo - 1, lo):
+            one = np.zeros(d, dtype=np.int64)
+            one[0] = 1
+            assert ring.mul(one, one, d, d).tolist() == one.tolist()
+        assert calls == [lo]
+        q = largest_modulus(lo, 2)  # two limbs double the crossover
+        ring.mul(one, one, lo, q)
+        assert calls == [lo]
+
+    def test_exact_ints_stay_on_convolve(self, monkeypatch):
+        monkeypatch.setattr(ring, "_fft_product", lambda *args: pytest.fail("FFT on object dtype"))
+        d, q = 2 * ring.FFT_MIN_D, 2 ** 40 + 15
+        assert ring._dtype(d, q) is object
+        rng = np.random.default_rng(0)
+        a, b = (np.array([int(c) for c in rng.integers(0, q, d)], dtype=object) for _ in range(2))
+        assert [int(c) for c in ring.mul(a, b, d, q)] == mul_oracle(a, b, d, q)
+
+    @pytest.mark.parametrize("size", [2 ** 4, 2 ** 10, 2 ** 16])
+    def test_twiddles_are_within_the_stated_error(self, size):
+        mpmath = pytest.importorskip("mpmath")
+        impulse = np.zeros(size)
+        impulse[1] = 1
+        got = np.fft.rfft(impulse, size)  # X_k = exp(-2 pi i k / size)
+        with mpmath.workdps(40):
+            for k in range(0, size // 2 + 1, 2 * (size >> 12) + 1):  # odd stride, <= 1025 roots
+                exact = mpmath.exp(-2j * mpmath.pi * k / size)
+                assert abs(mpmath.mpc(complex(got[k])) - exact) < ring.TWIDDLE_ERROR
+
+
 class TestXPower:
     @given(st.integers(2, 8), st.integers(2, 30), st.integers(0, 400), st.integers(0, 400))
     @settings(max_examples=100)

@@ -224,6 +224,10 @@ class TestTermModJumpAhead:
         for d in (2, 5, 12):
             assert [term_mod(j, d, 7) for j in range(d)] == [1] * d
 
+    def test_large_order_takes_the_fft_product(self):
+        # j a few times d: each squaring is a 3000-coefficient ring product
+        assert term_mod(10 ** 4, 3000, 7) == seq_stream(3000, 7, 10 ** 4 + 1)[-1] == 5
+
     def test_modulus_past_int64_products(self):
         m = 2 ** 32 + 15  # 6 * (m-1)^2 passes 2^63, so the kernel uses exact ints
         exact = exact_sequence(6, 501)
