@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import seqcore
-from .errors import InconclusiveError, SizeBudgetError, SwapnetError
+from .errors import InconclusiveError, SizeBudgetError, SwapnetError, VerificationError
 
 
 def _fmt(x: float) -> str:
@@ -237,42 +237,48 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _require(ok: bool, *detail) -> None:
+    """Raise VerificationError(*detail) unless ok: an assert that python -O keeps."""
+    if not ok:
+        raise VerificationError(*detail)
+
+
 def _check_table_values():
     from . import cycles
     got = [e.length for e in cycles.scan(9)]
-    assert got == [3, 8, 30, 24, 6552, 48, 252, 240], got
+    _require(got == [3, 8, 30, 24, 6552, 48, 252, 240], got)
 
 
 def _check_prime_periods():
     from . import cycles
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        assert cycles.cycle_length_direct(p, p, p * p) == p * p - 1
+        _require(cycles.cycle_length_direct(p, p, p * p) == p * p - 1)
 
 
 def _check_prime_power_instances():
     from . import cycles
     for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]:
-        assert cycles.verify_conjecture(p, m)
+        _require(cycles.verify_conjecture(p, m))
 
 
 def _check_route_agreement():
     for d in range(2, 9):
         exact = seqcore.exact_sequence(d, 301)
-        assert seqcore.term_exact_range(d, 301) == exact
+        _require(seqcore.term_exact_range(d, 301) == exact)
         for m in (2, 3, 5, 8, d):
             stream = seqcore.seq_stream(d, m, 301)
-            assert stream == [v % m for v in exact]
+            _require(stream == [v % m for v in exact])
 
 
 def _check_pascal_rule():
     table = seqcore.PascalTable(6, 40)
     for n in range(41):
         for k in range(n + 1):
-            assert table.binom(n, k) == seqcore.binom_exact(n, k) % 6
+            _require(table.binom(n, k) == seqcore.binom_exact(n, k) % 6)
 
 
 def _check_hockey_stick():
-    assert all(seqcore.hockey_stick_check(j, k) for j in range(31) for k in range(31))
+    _require(all(seqcore.hockey_stick_check(j, k) for j in range(31) for k in range(31)))
 
 
 def _check_diagonal_periods():
@@ -283,7 +289,7 @@ def _check_diagonal_periods():
                 while p ** (e + 1) <= k:
                     e += 1
                 predicted = p ** (a + e)
-                assert seqcore.lu_tsai_period(p, a, k, 3 * predicted) == predicted
+                _require(seqcore.lu_tsai_period(p, a, k, 3 * predicted) == predicted)
 
 
 def _check_qutrit_swap():
@@ -296,12 +302,12 @@ def _check_qutrit_swap():
         a, b, c = (network.random_qudit(3, rng) for _ in range(3))
         out = network.simulate(circuit, network.StateVector.product(3, [a, b, c]))
         want = network.StateVector.product(3, [b, c, a])
-        assert np.max(np.abs(out.amplitudes - want.amplitudes)) < 1e-12
+        _require(np.max(np.abs(out.amplitudes - want.amplitudes)) < 1e-12)
     perm = network.full_operator(circuit)
     for a in range(3):
         for b in range(3):
             for c in range(3):
-                assert perm[9 * a + 3 * b + c] == 9 * b + 3 * c + a
+                _require(perm[9 * a + 3 * b + c] == 9 * b + 3 * c + a)
 
 
 def _check_basis_agreement():
@@ -312,7 +318,7 @@ def _check_basis_agreement():
         for index in range(d ** d):
             digits = network.digits_of_index(d, d, index)
             out = network.simulate(circuit, network.StateVector.basis(d, d, digits))
-            assert out.amplitudes[network.index_of_digits(d, mapping.apply(digits))] == 1.0
+            _require(out.amplitudes[network.index_of_digits(d, mapping.apply(digits))] == 1.0)
 
 
 def _check_shift_consistency():
@@ -320,37 +326,37 @@ def _check_shift_consistency():
     for d in range(2, 10):
         verdict = network.verify_swap(d)
         sigma = network.trace_array(d, verdict.gate_count).linear_map().permutation()
-        assert sigma is not None and verdict.permutation == tuple(map(sigma.index, range(d))), d
+        _require(sigma is not None and verdict.permutation == tuple(map(sigma.index, range(d))), d)
 
 
 def _check_trace_row():
     from . import network
     row = network.trace_array(4, 26).row(0)
-    assert row == [0, 0, 0, 1, 1, 1, 1, 2, 3, 0, 1, 3, 2, 2, 3, 2, 0, 2,
-                   1, 3, 3, 1, 2, 1, 0, 1, 3, 0, 0, 1], row
+    _require(row == [0, 0, 0, 1, 1, 1, 1, 2, 3, 0, 1, 3, 2, 2, 3, 2, 0, 2,
+                     1, 3, 3, 1, 2, 1, 0, 1, 3, 0, 0, 1], row)
 
 
 def _check_closed_form_values():
     from . import genfun
     cf4 = genfun.closed_form(4)
-    assert abs(cf4.alphas[-1] - 1.380277569) < 1e-6
-    assert abs(cf4.betas[-1] - 0.5474879784) < 1e-6
+    _require(abs(cf4.alphas[-1] - 1.380277569) < 1e-6)
+    _require(abs(cf4.betas[-1] - 0.5474879784) < 1e-6)
     cf8 = genfun.closed_form(8)
-    assert abs(cf8.alphas[-1] - 1.232054631) < 1e-6
-    assert abs(cf8.betas[-1] - 0.4313256714) < 1e-6
+    _require(abs(cf8.alphas[-1] - 1.232054631) < 1e-6)
+    _require(abs(cf8.betas[-1] - 0.4313256714) < 1e-6)
 
 
 def _check_closed_form_terms():
     from . import genfun
-    assert genfun.compare_closed_vs_exact(4, 26, 1e-6) < 1e-6
-    assert genfun.compare_closed_vs_exact(8, 26, 1e-6) < 1e-6
+    _require(genfun.compare_closed_vs_exact(4, 26, 1e-6) < 1e-6)
+    _require(genfun.compare_closed_vs_exact(8, 26, 1e-6) < 1e-6)
 
 
 def _check_serialization():
     from . import network
     for fmt in ("json", "gatelist"):
         for circuit in (network.build_cyclic_network(3, 8), network.Circuit(5, 5)):
-            assert network.parse_circuit(network.export_circuit(circuit, fmt)) == circuit
+            _require(network.parse_circuit(network.export_circuit(circuit, fmt)) == circuit)
 
 
 CHECKS = [
@@ -459,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         # covers invalid moduli/orders and malformed numeric arguments
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (SwapnetError, OSError, AssertionError) as exc:
+    except (SwapnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

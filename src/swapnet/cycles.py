@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ring
 from .errors import FactoringError, InconclusiveError, SizeBudgetError, VerificationError
@@ -83,6 +83,8 @@ def cycle_length_direct(d: int, m: int, budget: int) -> int:
 class CycleReport:
     """Everything the period mod d says about the induced permutation.
 
+    One full cycle of ``length`` gates shifts the systems cyclically, so
+    ``shift`` (length mod d) and ``permutation`` are derived, not stored.
     ``permutation[i]`` is the system on which the state initially held
     by system i ends up after one full cycle of the network.
     ``conjecture_ok`` is set for prime-power d with d = p^m, m > 1,
@@ -92,10 +94,16 @@ class CycleReport:
     d: int
     length: int
     per_factor: tuple[tuple[int, int], ...]  # (prime power, period mod it)
-    shift: int
-    permutation: tuple[int, ...]
     method: str  # "direct" | "composed" | "predicted-and-verified"
-    conjecture_ok: bool | None = field(default=None)
+    conjecture_ok: bool | None = None
+
+    @property
+    def shift(self) -> int:
+        return self.length % self.d
+
+    @property
+    def permutation(self) -> tuple[int, ...]:
+        return (*range(self.shift, self.d), *range(self.shift))  # i -> (i + shift) mod d
 
     def to_dict(self) -> dict:
         out = {
@@ -121,12 +129,6 @@ class ScanFailure:
 
     def to_dict(self) -> dict:
         return {"d": self.d, "inconclusive": True, "budget": self.budget, "reason": self.reason}
-
-
-def _report(d: int, length: int, per_factor, method: str, conjecture_ok=None) -> CycleReport:
-    shift = length % d
-    perm = tuple((i + shift) % d for i in range(d))
-    return CycleReport(d, length, tuple(per_factor), shift, perm, method, conjecture_ok)
 
 
 def order_from_multiple(d: int, q: int, n: int, primes: list[int]) -> int | None:
@@ -209,14 +211,14 @@ def cycle_length(d: int, budget: int | None = None) -> CycleReport:
         per_factor.append((q, length))
     length = math.lcm(*(ln for _, ln in per_factor))
     if not f.is_prime_power:
-        return _report(d, length, per_factor, "composed")
+        return CycleReport(d, length, tuple(per_factor), "composed")
     p, m = f.factors[0]
     expected = predicted_cycle(p, m)
     if m == 1 and length != expected:
         raise VerificationError(f"prime d={d}: measured period {length} != d^2-1 = {expected}")
     ok = length == expected
-    return _report(d, length, per_factor, "predicted-and-verified" if ok else "direct",
-                   None if m == 1 else ok)
+    return CycleReport(d, length, tuple(per_factor), "predicted-and-verified" if ok else "direct",
+                       None if m == 1 else ok)
 
 
 def verify_conjecture(p: int, m: int, budget: int | None = None) -> bool:

@@ -1,6 +1,7 @@
 """Integer factorization into proven primes: the ring certifies periods from them."""
 from __future__ import annotations
 
+import collections
 import math
 
 from .errors import FactoringError, InvalidPrimeError
@@ -79,7 +80,7 @@ def _rho_split(n: int) -> int | None:
     return None
 
 
-class Factorization:
+class Factorization(collections.namedtuple("Factorization", "n factors")):
     """Prime factorization n = p1^m1 * ... * pr^mr, primes increasing.
 
     Every prime is proven: trial division up to TRIAL_LIMIT, then each
@@ -89,25 +90,7 @@ class Factorization:
     equal, hashed and shown by (n, factors).
     """
 
-    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
-        self.__dict__.update(n=n, factors=factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.factors) == (other.n, other.factors)
-
-    def __hash__(self):
-        return hash((self.n, self.factors))
-
-    def __repr__(self):
-        return f"Factorization(n={self.n!r}, factors={self.factors!r})"
+    __slots__ = ()
 
     @classmethod
     def of(cls, n: int) -> "Factorization":

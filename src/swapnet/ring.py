@@ -15,7 +15,7 @@ zero padded to the power of two N >= 2d - 1 (one transform for a
 squaring), a pointwise product, ``irfft``, and ``rint``.  Rounding gives
 the exact integers when the float64 error is below 1/2, which
 ``fft_error`` bounds from d, the largest entry and N before any
-transform runs, and which ``mul`` asserts on every call:
+transform runs, and which ``mul`` checks on every call:
 
 - Percival (Math. Comp. 72 (2003), 387-395, Theorem 5.1): the cyclic
   convolution z of x and y by radix-2 transforms of length 2^n, in
@@ -56,6 +56,8 @@ import functools
 
 import numpy as np
 
+from .errors import VerificationError
+
 # measured crossover (2-vCPU x86_64, numpy 2.4): a one-limb squaring at d = 192 took
 # 39.7 us by np.convolve and 45.4 us by FFT, at d = 208 47.9 and 44.1 us; L limbs
 # cost about L times more
@@ -94,7 +96,9 @@ def fft_limbs(d: int, q: int) -> tuple[int, int, int]:
 def _fft_product(a: np.ndarray, b: np.ndarray, d: int, q: int) -> np.ndarray:
     """The 2d - 1 coefficients of a * b mod q, by exact real FFTs of int64 limbs."""
     count, width, size = fft_limbs(d, q)
-    assert fft_error(d, min(q - 1, 2 ** width - 1), size) < 0.5
+    error = fft_error(d, min(q - 1, 2 ** width - 1), size)
+    if error >= 0.5:
+        raise VerificationError(f"FFT error bound {error} >= 1/2 at d={d}, q={q}, {count} limbs")
     rfft, irfft = np.fft.rfft, np.fft.irfft
 
     def spectra(v):

@@ -465,6 +465,19 @@ class TestCheck:
             "FAIL pascal-rule: planted fault"]
         assert out.count("ok  ") == 13
 
+    def test_planted_fault_fails_under_python_o(self, child_env):
+        # the checks raise VerificationError, which -O does not strip as it strips assert
+        code = ("import sys\n"
+                "from swapnet import cli, cycles\n"
+                "cycles.scan = lambda *args, **kwargs: []\n"
+                "sys.exit(cli.main(['check']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 1
+        assert [line for line in proc.stdout.splitlines() if not line.startswith("ok  ")] == [
+            "FAIL table-values: []"]
+        assert proc.stdout.count("ok  ") == 13
+
     def test_failure_json_exit_1(self, capsys, one_failing):
         code, out, _ = run_cli(capsys, "check", "--json")
         doc = json.loads(out)

@@ -1,9 +1,11 @@
 """Tests for period detection, composition, and induced shifts."""
 import concurrent.futures
+import dataclasses
 import json
 import logging
 import math
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from swapnet.cycles import (
 )
 from swapnet.factor import Factorization, _check_prime
 from swapnet.seqcore import seq_stream
+from test_kronecker_periods import x_power
 
 TABLE = {2: 3, 3: 8, 4: 30, 5: 24, 6: 6552, 7: 48, 8: 252, 9: 240}
 
@@ -34,6 +37,18 @@ class TestFactorization:
         assert Factorization.of(64).is_prime_power
         assert not Factorization.of(12).is_prime_power
         assert [p ** e for p, e in Factorization.of(90).factors] == [2, 9, 5]
+
+    def test_value_semantics(self):
+        f = Factorization.of(12)
+        assert f == Factorization(12, ((2, 2), (3, 1))) and hash(f) == hash(Factorization.of(12))
+        assert f != Factorization.of(18) and len({f, Factorization.of(12), Factorization.of(18)}) == 2
+        assert repr(f) == "Factorization(n=12, factors=((2, 2), (3, 1)))"
+        for change in (lambda: setattr(f, "n", 13), lambda: setattr(f, "extra", 1),
+                       lambda: delattr(f, "factors")):
+            with pytest.raises(AttributeError):
+                change()
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and type(back) is Factorization and back.is_prime_power is False
 
     def test_product_invariant(self):
         for n in range(2, 500):
@@ -113,6 +128,18 @@ class TestCheckPrime:
             _check_prime(n)
         with pytest.raises(InvalidPrimeError):
             predicted_cycle(n, 1)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: predicted_cycle(2, 0), ValueError, "m must be >= 1"),
+    (lambda: predicted_cycle(3, -1), ValueError, "m must be >= 1"),
+    (lambda: Factorization.of(1), ValueError, "cannot factorize 1: need n >= 2"),
+    (lambda: Factorization.of(-6), ValueError, "cannot factorize -6: need n >= 2"),
+], ids=["predicted-m0", "predicted-m-1", "factor-1", "factor-neg"])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 class TestPredictedCycle:
@@ -256,6 +283,14 @@ class TestInducedShift:
         assert report.shift == 0
         assert report.permutation == (0, 1, 2, 3, 4, 5)
 
+    def test_shift_and_permutation_are_derived(self):
+        report = cycle_length(4)
+        names = [f.name for f in dataclasses.fields(report)]
+        assert names == ["d", "length", "per_factor", "method", "conjecture_ok"]
+        built = CycleReport(4, 30, ((4, 30),), "predicted-and-verified", True)
+        assert pickle.loads(pickle.dumps(report)) == report == built
+        assert (built.shift, built.permutation) == (2, (2, 3, 0, 1))
+
     def test_prime_shift_is_minus_one(self):
         for d in (2, 3, 5, 7, 11, 13):
             assert cycle_length(d).shift == d - 1
@@ -377,11 +412,12 @@ class TestRingCertificate:
         p, m = Factorization.of(d).factors[0]
         n = predicted_cycle(p, m)
         length = cycle_length_direct(d, d, 2 * n)
-        brute = CycleReport(d, length, ((d, length),), length % d,
-                            tuple((i + length) % d for i in range(d)),
+        brute = CycleReport(d, length, ((d, length),),
                             "predicted-and-verified" if length == n else "direct",
                             None if m == 1 else length == n)
         assert cycle_length(d) == brute
+        assert brute.shift == length % d  # derived from d and length, not stored
+        assert brute.permutation == tuple((i + length) % d for i in range(d))
 
     @pytest.mark.parametrize("d", SMALL)
     def test_wrong_orders_rejected(self, d):
@@ -453,6 +489,27 @@ class TestRingCertificate:
 SMALL_FACTORS = [(6, 2, 1), (6, 3, 1), (10, 2, 1), (10, 5, 1), (12, 2, 2), (12, 3, 1),
                  (14, 2, 1), (18, 2, 1), (20, 2, 2), (26, 2, 1)]
 COMPOSITE = [d for d in range(4, 34) if not Factorization.of(d).is_prime_power]
+# every (d, p, e) with composite d < 64 and p^e || d, e >= 2: all 17 are decided
+LIFTS = [(d, p, e) for d in range(4, 64) if not Factorization.of(d).is_prime_power
+         for p, e in Factorization.of(d).factors if e >= 2]
+
+
+def _sympy_order_mod_p(d, p):
+    """Order of x mod p by an independent route: the lcm of its orders mod each irreducible
+    factor of f, with sympy's factoring and its own modular powers."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+    x = sympy.symbols("x")
+    want = 1
+    for h, _ in sympy.Poly(x ** d - x ** (d - 1) - 1, x, modulus=p).factor_list()[1]:
+        coeffs = [int(c) % p for c in h.all_coeffs()]
+        n = p ** h.degree() - 1
+        for r in sympy.factorint(n):
+            while n % r == 0 and gf_pow_mod([1, 0], n // r, coeffs, p, ZZ) == [1]:
+                n //= r
+        want = math.lcm(want, n)
+    return want
 
 
 class TestRingOrder:
@@ -470,24 +527,20 @@ class TestRingOrder:
 
     @pytest.mark.parametrize("d", COMPOSITE)
     def test_order_mod_p_matches_sympy(self, d):
-        # an independent route: the order of x mod each irreducible factor of f,
-        # with sympy's factoring and its own modular powers
-        sympy = pytest.importorskip("sympy")
-        from sympy.polys.domains import ZZ
-        from sympy.polys.galoistools import gf_pow_mod
-        x = sympy.symbols("x")
         for p, e in Factorization.of(d).factors:
-            want = 1
-            for h, _ in sympy.Poly(x ** d - x ** (d - 1) - 1, x, modulus=p).factor_list()[1]:
-                coeffs = [int(c) % p for c in h.all_coeffs()]
-                n = p ** h.degree() - 1
-                for r in sympy.factorint(n):
-                    while n % r == 0 and gf_pow_mod([1, 0], n // r, coeffs, p, ZZ) == [1]:
-                        n //= r
-                want = math.lcm(want, n)
+            want = _sympy_order_mod_p(d, p)
             assert cycles.ring_order(d, p, 1) == want
             lifted = cycles.ring_order(d, p, e)
             assert lifted in [want * p ** j for j in range(e)]
+
+    @pytest.mark.parametrize("d,p,e", LIFTS)
+    def test_lift_matches_kronecker(self, d, p, e):
+        # the order mod p^e is want * p^j for the least j with x^(want p^j) = 1 mod p^e,
+        # found with the numpy-free Kronecker arithmetic of test_kronecker_periods
+        want = _sympy_order_mod_p(d, p)
+        one = [1] + [0] * (d - 1)
+        lifts = [want * p ** j for j in range(e) if x_power(want * p ** j, d, p ** e) == one]
+        assert cycles.ring_order(d, p, e) == lifts[0]
 
     @pytest.mark.parametrize("d", [d for d in range(2, 65) if Factorization.of(d).is_prime_power])
     def test_prime_powers_match_the_prediction(self, d):

@@ -288,6 +288,13 @@ class TestCompare:
         assert err.value.index is not None
 
 
+@pytest.mark.parametrize("j", [-1, -10])
+def test_refusals(j):
+    with pytest.raises(ValueError) as info:
+        eval_closed(closed_form(4), j)
+    assert type(info.value) is ValueError and str(info.value) == "j must be >= 0"
+
+
 class TestMaxDeviation:
     def test_infinite_tol_gives_the_residual(self):
         cf = closed_form(8)

@@ -107,3 +107,10 @@ def test_light_modules_load_neither_numpy_nor_a_process_pool():
                 todo.extend(graph[name][0])
         other = set().union(*(graph[name][1] for name in reached))
         assert not {"numpy", "concurrent"} & other, (root, sorted(reached))
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements; every check in the package must raise instead
+    asserts = [(name, node.lineno) for name, tree in TREES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert asserts == []

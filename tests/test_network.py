@@ -220,6 +220,17 @@ class TestTraceLinearMap:
         assert arr.t_end == T and len(arr.row0) == T + 2 * d - 1
         assert arr.row0.nbytes == (T + 2 * d - 1) * (1 if d <= 256 else 2)
 
+    @pytest.mark.parametrize("n,amplitudes,message", [
+        (0, [1.0], "need at least one system"),
+        (-1, [1.0], "need at least one system"),
+        (2, [1.0, 0.0, 0.0], "expected 4 amplitudes, got (3,)"),
+        (1, [[1.0, 0.0]], "expected 2 amplitudes, got (1, 2)"),
+    ], ids=["no-system", "negative", "short", "two-dimensional"])
+    def test_refusals(self, n, amplitudes, message):
+        with pytest.raises(ValueError) as info:
+            StateVector(2, n, amplitudes)
+        assert type(info.value) is ValueError and str(info.value) == message
+
     def test_size_budget_before_allocation(self):
         tracemalloc.start()
         try:

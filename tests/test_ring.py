@@ -1,4 +1,6 @@
 """Tests for the arithmetic kernel over Z_q[x]/(x^d - x^(d-1) - 1)."""
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -163,6 +165,23 @@ class TestFFTProduct:
         rng = np.random.default_rng(0)
         a, b = (np.array([int(c) for c in rng.integers(0, q, d)], dtype=object) for _ in range(2))
         assert [int(c) for c in ring.mul(a, b, d, q)] == mul_oracle(a, b, d, q)
+
+    def test_bound_failure_raises_under_python_o(self, child_env):
+        # one limb of 20 bits at d = 256 breaks the bound; -O must not silence the check
+        code = ("import numpy as np\n"
+                "from swapnet import ring\n"
+                "from swapnet.errors import VerificationError\n"
+                "ring.fft_limbs = lambda d, q: (1, 20, 512)\n"
+                "a = np.full(256, 2 ** 20 - 2, dtype=np.int64)\n"
+                "try:\n"
+                "    ring.mul(a, a, 256, 2 ** 20 - 1)\n"
+                "except VerificationError as exc:\n"
+                "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("FFT error bound ")
+        assert proc.stdout.endswith(" >= 1/2 at d=256, q=1048575, 1 limbs\n")
 
     @pytest.mark.parametrize("size", [2 ** 4, 2 ** 10, 2 ** 16])
     def test_twiddles_are_within_the_stated_error(self, size):

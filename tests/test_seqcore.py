@@ -345,6 +345,34 @@ class TestLuTsaiPeriod:
             lu_tsai_period(4, 1, 1, 100)
 
 
+def _aperiodic_rows(m, width, n_max):
+    return ([j, j] for j in range(n_max + 1))  # column 1 counts up: no period
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda mp: PascalTable(5, -1), ValueError, "max_n must be >= 0"),
+    (lambda mp: PascalTable(5, 3).binom(4, 0), ValueError, "row 4 outside table (max_n=3)"),
+    (lambda mp: PascalTable(5, 3).binom(-1, 0), ValueError, "row -1 outside table (max_n=3)"),
+    (lambda mp: term_exact(-1, 3), ValueError, "j must be >= 0"),
+    (lambda mp: term_mod(-1, 3, 5), ValueError, "j must be >= 0"),
+    (lambda mp: first_window_return(3, 5, 0), ValueError, "budget must be >= 1"),
+    (lambda mp: hockey_stick_check(-1, 2), ValueError, "j and k must be >= 0"),
+    (lambda mp: hockey_stick_check(2, -1), ValueError, "j and k must be >= 0"),
+    (lambda mp: prime_binomial_residue(5, -2), ValueError, "j must be >= -1"),
+    (lambda mp: lu_tsai_period(2, 0, 1, 100), ValueError, "a and k must be >= 1"),
+    (lambda mp: lu_tsai_period(2, 1, 0, 100), ValueError, "a and k must be >= 1"),
+    (lambda mp: (mp.setattr(seqcore, "_pascal_rows", _aperiodic_rows),
+                 lu_tsai_period(2, 1, 1, 6)),
+     InconclusiveError, "no period <= 4 found for C(j,1) mod 2^1"),
+], ids=["pascal-max-n", "pascal-row-high", "pascal-row-low", "term-exact", "term-mod",
+        "window-budget", "hockey-j", "hockey-k", "residue-j", "lu-tsai-a", "lu-tsai-k",
+        "lu-tsai-no-period"])
+def test_refusals(monkeypatch, call, error, message):
+    with pytest.raises(error) as info:
+        call(monkeypatch)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_is_prime():
     def is_prime(n):
         return Factorization.of(n).factors == ((n, 1),)
