@@ -29,15 +29,15 @@ print()
 # Follow |1 2 0> through the network one gate at a time.
 state = (1, 2, 0)
 print("start   ", state)
-for k, gate in enumerate(circuit.gates, start=1):
-    step = Circuit(3, 3, (gate,))
+for k, (control, target) in enumerate(circuit.gates.tolist()):
+    step = Circuit(3, 3, circuit.gates[k:k + 1])
     state = linear_map(step).apply(state)
-    print(f"gate {k}  ", state, f"  (control {gate.control} -> target {gate.target})")
+    print(f"gate {k + 1}  ", state, f"  (control {control} -> target {target})")
 assert state == (2, 0, 1)  # |b c a> for a,b,c = 1,2,0
 
 # The first gate as the dense unitary one would print for inspection:
 # 27 rows of 0/1, a single 1 per row.
-u1 = full_operator(Circuit(3, 3, (circuit.gates[0],)))
+u1 = full_operator(Circuit(3, 3, circuit.gates[0:1]))
 print()
 print(permutation_matrix_text(u1))
 

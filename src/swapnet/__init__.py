@@ -29,7 +29,7 @@ _EXPORTS = {
         "eval_closed", "find_roots", "max_deviation", "series_denominator",
     ),
     "network": (
-        "Circuit", "Gate", "LinearMapZd", "StateVector", "SwapVerdict", "TraceArray",
+        "Circuit", "LinearMapZd", "StateVector", "SwapVerdict", "TraceArray",
         "build_cyclic_network", "export_circuit", "full_operator", "linear_map",
         "parse_circuit", "permutation_matrix_text", "random_qudit", "simulate",
         "trace_array", "verify_swap",

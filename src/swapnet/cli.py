@@ -182,7 +182,7 @@ def cmd_simulate(args) -> int:
     from . import network
     try:
         with open(args.circuit, "r", encoding="ascii") as fh:
-            text = fh.read()
+            text = fh.read(network.CIRCUIT_CHAR_LIMIT + 1)  # one past the limit: parse_circuit refuses it
     except UnicodeDecodeError as exc:  # a ValueError, which would read as a usage error
         raise SwapnetError(f"bad circuit: {exc}") from exc
     circuit = network.parse_circuit(text)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -28,42 +28,44 @@ from .seqcore import _check_modulus, _terms
 OPERATOR_SIZE_LIMIT = 10 ** 6
 TRACE_LIMIT = 10 ** 7
 GATE_LIMIT = 10 ** 6
+CIRCUIT_CHAR_LIMIT = 64 * GATE_LIMIT  # characters of a circuit file: 64 a gate at the gate limit
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines breaks; "\r\n" holds two
 NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One generalized CNOT: adds the control digit into the target digit."""
-
-    control: int
-    target: int
-
-    def __post_init__(self):
-        if self.control == self.target:
-            raise ValueError("control and target must differ")
-        if self.control < 0 or self.target < 0:
-            raise ValueError("system indices must be >= 0")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
-    """Ordered CNOT gates over ``n_systems`` systems of dimension ``d``."""
+    """CNOT gates on ``n_systems`` systems of dimension ``d``: ``gates`` is one read-only (G, 2) int64 array."""
 
     d: int
     n_systems: int
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
+    gates: np.ndarray = ()
 
     def __post_init__(self):
         _check_modulus(self.d)
         if self.n_systems < 1:
             raise ValueError("need at least one system")
-        for g in self.gates:
-            if g.control >= self.n_systems or g.target >= self.n_systems:
-                raise ValueError(f"gate {g} outside {self.n_systems} systems")
+        try:
+            gates = np.array(self.gates, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"gate index outside int64: {exc}") from exc
+        gates.flags.writeable = False  # and so every view of it
+        if gates.shape[1:] != (2,) and gates.shape != (0,):  # (0,) is an empty list
+            raise ValueError(f"gates must be (control, target) rows, got shape {gates.shape}")
+        gates = gates.reshape(-1, 2)
+        bad = ((gates < 0) | (gates >= self.n_systems)).any(axis=1) | (gates[:, 0] == gates[:, 1])
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"gate {k} {gates[k].tolist()} needs distinct control and target "
+                             f"in 0..{self.n_systems - 1}")
+        object.__setattr__(self, "gates", gates)
 
     def __len__(self) -> int:
         return len(self.gates)
+
+    def __eq__(self, other):
+        return (isinstance(other, Circuit) and (self.d, self.n_systems) == (other.d, other.n_systems)
+                and np.array_equal(self.gates, other.gates))
 
 
 def _check_gate_count(count: int) -> None:
@@ -77,8 +79,9 @@ def build_cyclic_network(d: int, gate_count: int) -> Circuit:
     if gate_count < 0:
         raise ValueError("gate_count must be >= 0")
     _check_gate_count(gate_count)
-    gates = tuple(Gate(k % d, (k + 1) % d) for k in range(gate_count))
-    return Circuit(d, d, gates)
+    # every k <= gate_count, so k mod d is k mod min(d, gate_count + 1), which fits int64
+    k = np.arange(gate_count + 1) % min(d, gate_count + 1)
+    return Circuit(d, d, np.column_stack((k[:-1], k[1:])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +110,8 @@ def linear_map(circuit: Circuit) -> LinearMapZd:
     """Compose all gates into one matrix over Z_d (identity if empty)."""
     n = circuit.n_systems
     mat = np.eye(n, dtype=np.int64)
-    for g in circuit.gates:
-        mat[g.target] = (mat[g.target] + mat[g.control]) % circuit.d
+    for c, t in zip(*circuit.gates.T.tolist()):  # two flat lists; a list per row costs 0.5 us a gate
+        mat[t] = (mat[t] + mat[c]) % circuit.d
     return LinearMapZd(circuit.d, mat)
 
 
@@ -271,11 +274,7 @@ def index_of_digits(d: int, digits) -> int:
 
 
 def digits_of_index(d: int, n: int, index: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(index % d)
-        index //= d
-    return tuple(reversed(out))
+    return tuple(index // d ** (n - 1 - k) % d for k in range(n))
 
 
 def simulate(circuit: Circuit, state: StateVector) -> StateVector:
@@ -287,18 +286,16 @@ def simulate(circuit: Circuit, state: StateVector) -> StateVector:
     broadcast along axes c and t, and each gate is one gather.
     """
     if state.d != circuit.d or state.n != circuit.n_systems:
-        raise ValueError(
-            f"state is {state.n} systems of dimension {state.d}, "
-            f"circuit wants {circuit.n_systems} of {circuit.d}"
-        )
+        raise ValueError(f"state is {state.n} systems of dimension {state.d}, "
+                         f"circuit wants {circuit.n_systems} of {circuit.d}")
     d, n = circuit.d, circuit.n_systems
     index = np.arange(d ** n, dtype=np.int64).reshape((d,) * n)
     digit = np.arange(d, dtype=np.int64)
     amps = state.amplitudes
-    for g in circuit.gates:
-        xc = digit.reshape([d if k == g.control else 1 for k in range(n)])
-        xt = digit.reshape([d if k == g.target else 1 for k in range(n)])
-        amps = amps[(index + ((xt - xc) % d - xt) * d ** (n - 1 - g.target)).ravel()]
+    for c, t in zip(*circuit.gates.T.tolist()):
+        xc = digit.reshape([d if k == c else 1 for k in range(n)])
+        xt = digit.reshape([d if k == t else 1 for k in range(n)])
+        amps = amps[(index + ((xt - xc) % d - xt) * d ** (n - 1 - t)).ravel()]
     return StateVector(d, n, amps)
 
 
@@ -322,13 +319,9 @@ def permutation_matrix_text(perm: np.ndarray) -> str:
     Row r has a single 1 in column c whenever basis c maps to basis r;
     this is the dense unitary as it would be printed for inspection.
     """
-    size = len(perm)
-    lines = []
-    for r in range(size):
-        row = ["0"] * size
-        row[int(np.flatnonzero(perm == r)[0])] = "1"
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
+    dense = np.zeros((len(perm), len(perm)), dtype=np.int8)
+    dense[perm, np.arange(len(perm))] = 1
+    return "".join(" ".join(map(str, row)) + "\n" for row in dense.tolist())
 
 
 @dataclass(frozen=True)
@@ -337,13 +330,21 @@ class SwapVerdict:
 
     kind is one of "swap" (cyclic shift by -1, the full SWAP),
     "grouped" (prime-power grouped cyclic swaps), "identity", "other".
-    ``permutation[i]`` is where the state starting on system i ends up.
+    ``shift`` (gate_count mod d) and ``permutation`` are derived, not
+    stored; ``permutation[i]`` is where the state starting on system i ends up.
     """
 
     kind: str
-    shift: int
-    permutation: tuple[int, ...]
+    d: int
     gate_count: int
+
+    @property
+    def shift(self) -> int:
+        return self.gate_count % self.d
+
+    @property
+    def permutation(self) -> tuple[int, ...]:
+        return (*range(self.shift, self.d), *range(self.shift))  # i -> (i + shift) mod d
 
     def describe(self) -> str:
         if self.kind == "swap":
@@ -365,19 +366,15 @@ def verify_swap(d: int, budget: int | None = None) -> SwapVerdict:
     """
     from . import cycles  # simulate, trace and export need neither it nor the ring
     report = cycles.cycle_length(d, budget)
-    shift = report.shift
+    shift, f = report.shift, Factorization.of(d)
     kind = "other"
     if shift == 0:
         kind = "identity"
     elif shift == d - 1:
         kind = "swap"
-    else:
-        f = Factorization.of(d)
-        if f.is_prime_power:
-            p, m = f.factors[0]
-            if m > 1 and shift == d - p ** (m - 1):
-                kind = "grouped"
-    return SwapVerdict(kind, shift, report.permutation, report.length)
+    elif f.is_prime_power and shift == d - d // f.factors[0][0]:  # d = p^m, m > 1 (m = 1 is the swap)
+        kind = "grouped"
+    return SwapVerdict(kind, d, report.length)
 
 
 def export_circuit(circuit: Circuit, format: str = "gatelist") -> str:
@@ -386,18 +383,20 @@ def export_circuit(circuit: Circuit, format: str = "gatelist") -> str:
         doc = {
             "d": circuit.d,
             "systems": circuit.n_systems,
-            "gates": [[g.control, g.target] for g in circuit.gates],
+            "gates": circuit.gates.tolist(),
         }
         return json.dumps(doc, separators=(",", ":"))
     if format == "gatelist":
         lines = [f"DIM {circuit.d} SYSTEMS {circuit.n_systems}"]
-        lines.extend(f"CNOT {g.control} {g.target}" for g in circuit.gates)
+        lines.extend(f"CNOT {c} {t}" for c, t in zip(*circuit.gates.T.tolist()))
         return "\n".join(lines)
     raise ValueError(f"unknown format {format!r}")
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Read back export_circuit's text, up to GATE_LIMIT gates; any fault raises SwapnetError."""
+    """Read back export_circuit's text; any fault, or a size past its limit, raises SwapnetError."""
+    if len(text) > CIRCUIT_CHAR_LIMIT:
+        raise SizeBudgetError(f"circuit text exceeds the {CIRCUIT_CHAR_LIMIT} character limit")
     try:
         if text.lstrip().startswith("{"):
             doc = json.loads(text)
@@ -409,8 +408,7 @@ def parse_circuit(text: str) -> Circuit:
             for g in doc["gates"]:
                 if not (isinstance(g, list) and len(g) == 2 and all(type(v) is int for v in g)):
                     raise SwapnetError(f"malformed gate: {g!r}")
-            gates = tuple(Gate(c, t) for c, t in doc["gates"])
-            return Circuit(doc["d"], doc["systems"], gates)
+            return Circuit(doc["d"], doc["systems"], doc["gates"])
         # each non-blank line from its first non-space character, counted before any line
         # is split off; every str.splitlines break is whitespace, so the counts agree
         lines = re.finditer(f"\\S[^{_LINE_BREAKS}]*", text)
@@ -428,8 +426,8 @@ def parse_circuit(text: str) -> Circuit:
             parts = ln.split()
             if len(parts) != 3 or parts[0] != "CNOT":
                 raise SwapnetError(f"malformed gate line: {ln!r}")
-            gates.append(Gate(int(parts[1]), int(parts[2])))
-        return Circuit(d, n, tuple(gates))
-    # bad integers, what Gate and Circuit refuse, and JSON nested past the recursion limit
+            gates.append((int(parts[1]), int(parts[2])))
+        return Circuit(d, n, gates)
+    # bad integers, what Circuit refuses, and JSON nested past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise SwapnetError(f"bad circuit: {exc}") from exc

@@ -369,10 +369,41 @@ class TestSimulate:
         path = tmp_path / "circuit.txt"
         path.write_text(export_circuit(build_cyclic_network(2, 4)))
         monkeypatch.setattr(network, "GATE_LIMIT", 3)
-        monkeypatch.setattr(network, "Gate", lambda *args: pytest.fail("a Gate was built"))
+        monkeypatch.setattr(network, "Circuit", lambda *args: pytest.fail("a Circuit was built"))
         code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "01")
         assert code == 1 and out == ""
         assert err == "error: 4 gates exceed the 3 gate limit\n"
+
+    def test_char_limit_before_parsing(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "circuit.txt"
+        text = export_circuit(build_cyclic_network(2, 4))
+        path.write_text(text)
+        monkeypatch.setattr(network, "CIRCUIT_CHAR_LIMIT", len(text))
+        code, out, _ = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "01")
+        assert code == 0 and out == "10 1 0\n"
+        path.write_text(text + "\n")
+        monkeypatch.setattr(network, "re", None)  # nothing is parsed past the limit
+        code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "01")
+        assert code == 1 and out == ""
+        assert err == f"error: circuit text exceeds the {len(text)} character limit\n"
+
+    @pytest.mark.skipif(not pathlib.Path("/dev/zero").exists(), reason="no /dev/zero")
+    def test_endless_file_is_read_to_the_limit_only(self, capsys, monkeypatch):
+        monkeypatch.setattr(network, "CIRCUIT_CHAR_LIMIT", 1000)
+        code, out, err = run_cli(capsys, "simulate", "--circuit", "/dev/zero", "--state", "0")
+        assert code == 1 and out == ""
+        assert err == "error: circuit text exceeds the 1000 character limit\n"
+
+    @pytest.mark.parametrize("text", [
+        '{"d":3,"systems":3,"gates":[[0,10000000000000000000000000]]}',
+        "DIM 3 SYSTEMS 3\nCNOT 9223372036854775808 1",
+    ])
+    def test_index_past_int64_exit_1(self, capsys, tmp_path, text):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad circuit: ")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--circuit", "/nonexistent", "--state", "00")
@@ -436,6 +467,13 @@ class TestExport:
         for flags in (["--format", "json"], ["--json"], ["--json", "--format", "gatelist"]):
             code, out, _ = run_cli(capsys, "export", "--d", "3", "--gates", "2", *flags)
             assert code == 0 and out == '{"d":3,"systems":3,"gates":[[0,1],[1,2]]}\n', flags
+
+    def test_dimension_past_int64(self, capsys):
+        d = 10 ** 30
+        code, out, _ = run_cli(capsys, "export", "--d", str(d), "--gates", "3")
+        assert code == 0 and out == f"DIM {d} SYSTEMS {d}\nCNOT 0 1\nCNOT 1 2\nCNOT 2 3\n"
+        code, out, _ = run_cli(capsys, "export", "--d", str(d), "--gates", "3", "--json")
+        assert code == 0 and out == f'{{"d":{d},"systems":{d},"gates":[[0,1],[1,2],[2,3]]}}\n'
 
 
 class TestCheck:

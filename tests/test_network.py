@@ -1,5 +1,7 @@
 """Tests for circuits, linear maps, trace arrays, and simulation."""
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -14,8 +16,8 @@ from swapnet.network import (
     GATE_LIMIT,
     TRACE_LIMIT,
     Circuit,
-    Gate,
     StateVector,
+    SwapVerdict,
     build_cyclic_network,
     digits_of_index,
     export_circuit,
@@ -46,25 +48,73 @@ def basis_map_oracle(d, gates, digits):
 
 class TestConstruction:
     def test_gate_validation(self):
+        for gates in (
+            [[1, 1]],  # control equals target
+            [[0, 2]],  # outside two systems
+            [[0, 1], [-1, 0]],  # negative index
+            [[0, 2 ** 63]],  # past int64
+            [[-(2 ** 63) - 1, 0]],
+            [[0, 1], [1]],  # ragged rows
+            np.zeros((2, 3), dtype=np.int64),  # (G, 3)
+            [0, 1],  # a flat list
+            [[[0, 1]]],
+        ):
+            with pytest.raises(ValueError):
+                Circuit(3, 2, gates)
+
+    def test_gates_are_one_read_only_array(self):
+        source = np.array([[0, 1], [1, 2]])
+        c = Circuit(3, 3, source)
+        assert c.gates.shape == (2, 2) and c.gates.dtype == np.int64 and len(c) == 2
         with pytest.raises(ValueError):
-            Gate(1, 1)
-        with pytest.raises(ValueError):
-            Circuit(3, 2, (Gate(0, 2),))
+            c.gates[0, 0] = 2
+        source[0, 0] = 2  # a copy: the caller's array stays the caller's
+        assert c.gates.tolist() == [[0, 1], [1, 2]]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.gates = np.zeros((0, 2), dtype=np.int64)
+
+    @pytest.mark.parametrize("gates", [(), [], np.zeros((0, 2), dtype=np.int64)])
+    def test_empty_circuit(self, gates):
+        c = Circuit(4, 4, gates)
+        assert c.gates.shape == (0, 2) and len(c) == 0 and not c.gates.flags.writeable
+        assert c == Circuit(4, 4)
+
+    def test_equality_by_value(self):
+        c = Circuit(3, 3, [[0, 1], [1, 2]])
+        assert c == Circuit(3, 3, ((0, 1), (1, 2)))
+        assert c == Circuit(3, 3, np.array([[0, 1], [1, 2]], dtype=np.int8))
+        assert c != Circuit(4, 3, [[0, 1], [1, 2]])
+        assert c != Circuit(3, 4, [[0, 1], [1, 2]])
+        assert c != Circuit(3, 3, [[0, 1], [1, 0]])
+        assert c != Circuit(3, 3, [[0, 1]])
+        assert c != Circuit(3, 3)
+        assert c != ((0, 1), (1, 2))
 
     def test_cyclic_schedule(self):
         c = build_cyclic_network(3, 8)
-        assert [(g.control, g.target) for g in c.gates] == [
-            (0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0), (0, 1), (1, 2)]
+        assert c.gates.tolist() == [[0, 1], [1, 2], [2, 0], [0, 1], [1, 2], [2, 0], [0, 1], [1, 2]]
 
     def test_qubit_swap_is_three_gates(self):
         c = build_cyclic_network(2, 3)
-        assert [(g.control, g.target) for g in c.gates] == [(0, 1), (1, 0), (0, 1)]
+        assert c.gates.tolist() == [[0, 1], [1, 0], [0, 1]]
+
+    @given(st.integers(2, 10 ** 40), st.integers(0, 40))
+    @settings(max_examples=60)
+    def test_schedule_matches_the_formula(self, d, count):
+        # d past int64 too: the indices stay below the gate count
+        c = build_cyclic_network(d, count)
+        assert (c.d, c.n_systems) == (d, d)
+        assert c.gates.tolist() == [[k % d, (k + 1) % d] for k in range(count)]
+
+    def test_wide_dimension_exports_unchanged(self):
+        d = 10 ** 30
+        assert export_circuit(build_cyclic_network(d, 3)) == f"DIM {d} SYSTEMS {d}\nCNOT 0 1\nCNOT 1 2\nCNOT 2 3"
 
     def test_empty(self):
         assert len(build_cyclic_network(5, 0)) == 0
 
     def test_gate_limit_before_allocation(self):
-        # a million Gate objects take ~180 MB; one past the limit builds none
+        # one past the limit allocates no gate array
         tracemalloc.start()
         try:
             with pytest.raises(SizeBudgetError):
@@ -82,7 +132,7 @@ class TestLinearMap:
         assert m.permutation() == (0, 1, 2, 3)
 
     def test_single_gate(self):
-        m = linear_map(Circuit(3, 3, (Gate(0, 1),)))
+        m = linear_map(Circuit(3, 3, [[0, 1]]))
         assert m.apply((1, 0, 0)) == (1, 1, 0)
         assert m.permutation() is None
 
@@ -113,7 +163,7 @@ class TestLinearMap:
         rng = np.random.default_rng(seed)
         circuit = build_cyclic_network(d, count)
         digits = tuple(int(v) for v in rng.integers(0, d, size=d))
-        pairs = [(g.control, g.target) for g in circuit.gates]
+        pairs = circuit.gates.tolist()
         assert linear_map(circuit).apply(digits) == basis_map_oracle(d, pairs, digits)
 
 
@@ -296,7 +346,7 @@ class TestStateVector:
 
 class TestSimulate:
     def test_single_gate_on_basis(self):
-        circuit = Circuit(3, 3, (Gate(0, 1),))
+        circuit = Circuit(3, 3, [[0, 1]])
         out = simulate(circuit, StateVector.basis(3, 3, "100"))
         assert out.amplitudes[index_of_digits(3, (1, 1, 0))] == 1.0
 
@@ -364,7 +414,7 @@ class TestSimulate:
         for index in range(d ** n):
             image = basis_map_oracle(d, picks, digits_of_index(d, n, index))
             expected[index_of_digits(d, image)] = sv.amplitudes[index]
-        out = simulate(Circuit(d, n, tuple(Gate(c, t) for c, t in picks)), sv)
+        out = simulate(Circuit(d, n, picks), sv)
         assert np.array_equal(out.amplitudes, expected)
 
     def test_d7_cycle_peak_memory(self):
@@ -382,7 +432,7 @@ class TestSimulate:
 
 class TestFullOperator:
     def test_first_gate_action(self):
-        circuit = Circuit(3, 3, (Gate(0, 1),))
+        circuit = Circuit(3, 3, [[0, 1]])
         perm = full_operator(circuit)
         assert perm[index_of_digits(3, (1, 0, 0))] == index_of_digits(3, (1, 1, 0))
 
@@ -410,7 +460,7 @@ class TestFullOperator:
     def test_matches_gate_by_gate_simulation(self, d, n, data):
         pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
         picks = data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
-        circuit = Circuit(d, n, tuple(Gate(c, t) for c, t in picks))
+        circuit = Circuit(d, n, picks)
         perm = full_operator(circuit)
         for index in range(d ** n):
             out = simulate(circuit, StateVector.basis(d, n, digits_of_index(d, n, index)))
@@ -421,6 +471,8 @@ class TestFullOperator:
         assert text == "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
         swap = permutation_matrix_text(np.array([1, 0]))
         assert swap == "0 1\n1 0\n"
+        # basis c goes to perm[c]: row r holds its 1 in the column that maps to r
+        assert permutation_matrix_text(np.array([1, 2, 0])) == "0 0 1\n1 0 0\n0 1 0\n"
 
 
 # which kind of cycle verify_swap finds for each d <= 43; grouped has shift d - d/p
@@ -467,6 +519,15 @@ class TestVerifySwap:
         verdict = verify_swap(6)
         assert verdict.kind == "identity"
         assert verdict.gate_count == 6552
+
+    def test_shift_and_permutation_are_derived(self):
+        verdict = verify_swap(8)
+        assert [f.name for f in dataclasses.fields(verdict)] == ["kind", "d", "gate_count"]
+        assert pickle.loads(pickle.dumps(verdict)) == verdict == SwapVerdict("grouped", 8, 252)
+        assert (verdict.shift, verdict.permutation) == (4, (4, 5, 6, 7, 0, 1, 2, 3))
+        assert verdict.describe() == "GROUPED: shift 4, 252 gates"
+        other = SwapVerdict("other", 10, 1736327236)
+        assert other.describe() == "OTHER: permutation [6, 7, 8, 9, 0, 1, 2, 3, 4, 5], 1736327236 gates"
 
     # every d <= 43 whose cycle has at most 10^7 gates, and prime powers up to 125
     @pytest.mark.parametrize("d", [*range(2, 10), 11, 12, 13, 16, 17, 19, 23, 25, 27, 29,
@@ -571,8 +632,31 @@ class TestSerialization:
         monkeypatch.setattr(network, "GATE_LIMIT", 5)
         assert len(parse_circuit(text)) == 5
         monkeypatch.setattr(network, "GATE_LIMIT", 4)
-        monkeypatch.setattr(network, "Gate", lambda *args: pytest.fail("a Gate was built"))
-        with pytest.raises(SizeBudgetError, match="5 gates exceed the 4 gate limit"):
+        monkeypatch.setattr(network, "Circuit", lambda *args: pytest.fail("a Circuit was built"))
+        # a quoted last index fails any per-gate read, so the count must come first
+        head, _, tail = text.rpartition("2")
+        for unread in (text, head + '"2"' + tail):
+            with pytest.raises(SizeBudgetError, match="5 gates exceed the 4 gate limit"):
+                parse_circuit(unread)
+
+    @pytest.mark.parametrize("fmt", ["json", "gatelist"])
+    def test_parse_refuses_text_past_the_char_limit(self, monkeypatch, fmt):
+        text = export_circuit(build_cyclic_network(3, 5), fmt)
+        monkeypatch.setattr(network, "CIRCUIT_CHAR_LIMIT", len(text))
+        assert len(parse_circuit(text)) == 5
+        monkeypatch.setattr(network, "json", None)  # nothing is decoded past the limit
+        monkeypatch.setattr(network, "re", None)
+        with pytest.raises(SizeBudgetError, match=f"exceeds the {len(text)} character limit"):
+            parse_circuit(text + " ")
+
+    @pytest.mark.parametrize("text", [
+        '{"d":3,"systems":3,"gates":[[0,1],[0,10000000000000000000000000]]}',
+        '{"d":3,"systems":3,"gates":[[-10000000000000000000000000,1]]}',
+        "DIM 3 SYSTEMS 3\nCNOT 0 1\nCNOT 0 10000000000000000000000000",
+        "DIM 3 SYSTEMS 3\nCNOT 9223372036854775808 1",
+    ])
+    def test_index_past_int64_is_a_bad_circuit(self, text):
+        with pytest.raises(SwapnetError, match="^bad circuit: "):
             parse_circuit(text)
 
     @pytest.mark.parametrize("br", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
