@@ -1,21 +1,21 @@
 """Cycle lengths of the sequence mod m and the permutation they induce.
 
 The period mod q is the order of x in R_q = Z_q[x]/(f), f = x^d - x^(d-1) - 1,
-since the generating function is 1/(1 - z - z^d).  Each prime power
-q = p^e | d is decided by one routine: from a known multiple n of the
-order, strip every prime r of n while x^(n/r) = 1 (``order_from_multiple``);
-the periods combine by LCM.  For composite d the multiple comes from the
-distinct-degree factorisation of f mod p (``degree_multiple``).  For
-d = p^m it is N = p^(m-1) * (p^(2m) - 1), and x^N = 1 always holds: mod p
-the reciprocal of f is y^(p^m) + y - 1, whose roots satisfy y^(p^m) = 1 - y,
-hence y^(p^(2m)) = y; f is squarefree mod p (f' = x^(d-2), f(0) = -1), so
-x^(p^(2m)-1) = 1 in R_p; and the kernel 1 + pR of the reduction from p^m
-to p has exponent p^(m-1).  So N is the period when no prime of it strips,
-as is proven for prime d (N = d^2 - 1).  A multiple that cannot be
-factored into proven primes is inconclusive, naming the cofactor.  Brute
-force (the window's first return to all ones) is only the oracle
-(``cycle_length_direct``, ``verify_conjecture``).  The period, reduced
-mod d, is the shift by which a network of that many gates cycles its systems.
+since the generating function is 1/(1 - z - z^d); the periods mod the prime
+powers p^e | d combine by LCM.  Each takes two steps of one routine,
+``order_from_multiple``, which strips every prime r of a known multiple n of
+the order while x^(n/r) = 1.  Mod p, f is squarefree (f' = x^(d-2),
+f(0) = -1), so R_p is a product of fields F_(p^k) and the order ord_p
+divides lcm(p^k - 1) over the degrees k of f's factors (``degree_multiple``);
+for d = p^m the reciprocal y^(p^m) + y - 1 of f gives y^(p^(2m)) = y, so
+x^(p^(2m)-1) = 1.  The kernel 1 + pR of R_(p^e) -> R_p has exponent p^(e-1),
+so the order mod p^e is ord_p * p^j with j < e (the form Wall proved for
+Fibonacci, 1960), and stripping p alone from ord_p * p^(e-1) finds it.  For
+d = p^m the period is checked against N = p^(m-1) * (p^(2m) - 1), proven for
+prime d.  A multiple not factored into proven primes is inconclusive, naming
+the cofactor.  Brute force (the window's first return to all ones) is only
+the oracle (``cycle_length_direct``, ``verify_conjecture``).  The period mod
+d is the shift by which a network of that many gates cycles its systems.
 """
 from __future__ import annotations
 
@@ -72,10 +72,8 @@ def cycle_length_direct(d: int, m: int, budget: int) -> int:
     """
     steps, _ = first_window_return(d, m, budget)
     if steps is None:
-        raise InconclusiveError(
-            f"no window return within {budget} steps (order {d}, mod {m})",
-            steps=budget,
-        )
+        raise InconclusiveError(f"no window return within {budget} steps (order {d}, mod {m})",
+                                steps=budget)
     return steps
 
 
@@ -145,35 +143,35 @@ def order_from_multiple(d: int, q: int, n: int, primes: list[int]) -> int | None
     return n
 
 
-def degree_multiple(d: int, p: int, e: int) -> tuple[int, list[int]]:
-    """A multiple of the order of x mod p^e, for a prime p | d, and its primes.
+def degree_multiple(d: int, p: int) -> tuple[int, list[int]]:
+    """A multiple of the order of x mod p, for a prime p | d, and its primes.
 
     f = x^d - x^(d-1) - 1 is squarefree mod p, so R_p is a product of
     fields F_(p^k), one per irreducible factor of degree k, and the order
-    mod p divides lcm(p^k - 1); the kernel 1 + pR of the reduction from
-    p^e to p has exponent p^(e-1).  Each p^k - 1 is factored on its own.
+    mod p divides lcm(p^k - 1).  Each p^k - 1 is factored on its own.
     """
     _check_prime(p)
-    degrees = ring.distinct_degree(d, p)
-    primes = {p} if e > 1 else set()
-    for k in degrees:  # p^k - 1 > 1: f(1) = -1, so x - 1 never divides f
-        primes.update(r for r, _ in Factorization.of(p ** k - 1).factors)
-    return p ** (e - 1) * math.lcm(*(p ** k - 1 for k in degrees)), sorted(primes)
+    degrees = ring.distinct_degree(d, p)  # every p^k - 1 > 1: f(1) = -1, so x - 1 never divides f
+    primes = {r for k in degrees for r, _ in Factorization.of(p ** k - 1).factors}
+    return math.lcm(*(p ** k - 1 for k in degrees)), sorted(primes)
 
 
 def ring_order(d: int, p: int, e: int) -> int:
     """Order of x in Z_(p^e)[x]/(x^d - x^(d-1) - 1), for a prime p | d.
 
-    The multiple is N for d = p^e (proven in the module docstring), else
-    ``degree_multiple``; FactoringError if it has an unproven cofactor.
+    The order mod p from p^(2e) - 1 if d = p^e, else ``degree_multiple``
+    (FactoringError on an unproven cofactor), then lifted mod p^e.
     """
-    q = p ** e
-    if d == q:
-        n = predicted_cycle(p, e)
+    _check_prime(p)
+    if d == p ** e:
+        n = p ** (2 * e) - 1
         primes = [r for r, _ in Factorization.of(n).factors]
     else:
-        n, primes = degree_multiple(d, p, e)
-    order = order_from_multiple(d, q, n, primes)
+        n, primes = degree_multiple(d, p)
+    q, order = p, order_from_multiple(d, p, n, primes)
+    if order is not None and e > 1:  # the lift
+        q, n = p ** e, order * p ** (e - 1)
+        order = order_from_multiple(d, q, n, [p])
     if order is None:
         raise VerificationError(f"x^{n} != 1 mod {q} (order {d}): not a multiple of the order")
     log.debug("d=%d, mod %d: order %d of x, from the multiple %d", d, q, order, n)
@@ -205,9 +203,8 @@ def cycle_length(d: int, budget: int | None = None) -> CycleReport:
         except FactoringError as exc:
             raise InconclusiveError(f"{exc} (order {d}, mod {q})", steps=0) from exc
         if cap is not None and length > cap:
-            raise InconclusiveError(
-                f"no window return within {cap} steps (order {d}, mod {q})", steps=cap
-            )
+            raise InconclusiveError(f"no window return within {cap} steps (order {d}, mod {q})",
+                                    steps=cap)
         per_factor.append((q, length))
     length = math.lcm(*(ln for _, ln in per_factor))
     if not f.is_prime_power:
@@ -232,15 +229,11 @@ def verify_conjecture(p: int, m: int, budget: int | None = None) -> bool:
     if budget is None:
         budget = 2 * expected
     if budget < expected:
-        raise InconclusiveError(
-            f"budget {budget} below predicted period {expected}", steps=0
-        )
+        raise InconclusiveError(f"budget {budget} below predicted period {expected}", steps=0)
     d = p ** m
     steps, tail = first_window_return(d, d, budget)
     if steps is None:
-        raise InconclusiveError(
-            f"no window return within {budget} steps for d={d}", steps=budget
-        )
+        raise InconclusiveError(f"no window return within {budget} steps for d={d}", steps=budget)
     return steps == expected and all(v == 0 for v in tail)
 
 
@@ -275,10 +268,5 @@ def _scan_one(n: int, budget: int | None) -> CycleReport | ScanFailure:
 
 def scan_csv(entries: list[CycleReport | ScanFailure]) -> str:
     """Two-column table of dimension and period, one row per entry."""
-    lines = ["d,length"]
-    for entry in entries:
-        if isinstance(entry, CycleReport):
-            lines.append(f"{entry.d},{entry.length}")
-        else:
-            lines.append(f"{entry.d},inconclusive")
-    return "\n".join(lines) + "\n"
+    rows = (f"{e.d},{e.length if isinstance(e, CycleReport) else 'inconclusive'}" for e in entries)
+    return "\n".join(["d,length", *rows]) + "\n"

@@ -63,6 +63,9 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    def __reduce__(self):  # pickle and deepcopy rebuild through __post_init__: checked, read-only
+        return Circuit, (self.d, self.n_systems, self.gates)
+
     def __eq__(self, other):
         return (isinstance(other, Circuit) and (self.d, self.n_systems) == (other.d, other.n_systems)
                 and np.array_equal(self.gates, other.gates))
@@ -135,6 +138,12 @@ class TraceArray:
     d: int
     row0: np.ndarray
 
+    def __post_init__(self):
+        self.row0.flags.writeable = False
+
+    def __reduce__(self):  # pickle and deepcopy rebuild through __post_init__: read-only
+        return TraceArray, (self.d, self.row0)
+
     @property
     def t_start(self) -> int:
         return -(self.d - 1)
@@ -189,7 +198,6 @@ def trace_array(d: int, T: int) -> TraceArray:
     # t = -2(d-1) .. -1 as TraceArray says, then the sequence, cut by fromiter's count
     terms = chain(repeat(0, d - 2), (1,), repeat(0, d - 1), _terms(d, d))
     row0 = np.fromiter(terms, dtype=np.min_scalar_type(d - 1), count=T + 2 * d - 1)
-    row0.flags.writeable = False
     return TraceArray(d, row0)
 
 

@@ -41,7 +41,7 @@ def child_env():
 def no_factoring(monkeypatch):
     """Factorization.of gives up on every n above 100, and brute force in cycles raises.
 
-    So d=6 fails on 3^6 - 1 = 728 (2^6 - 1 = 63 still factors) and d=9 on N = 240.
+    So d=6 fails on 3^6 - 1 = 728 (2^6 - 1 = 63 still factors) and d=25 on 5^4 - 1 = 624.
     """
     from swapnet import cycles
     from swapnet.errors import FactoringError

@@ -88,7 +88,7 @@ def test_period_is_predicted(p, m):
 
 
 @pytest.mark.skipif(not os.environ.get("SWAPNET_LONG"),
-                    reason="set SWAPNET_LONG=1 for d = 729, 3125 and 4096 (seconds each)")
-@pytest.mark.parametrize("p,m", [(3, 6), (5, 5), (2, 12)])
+                    reason="set SWAPNET_LONG=1 for d = 729, 3125, 4096 (seconds each) and 16807 (~15 s)")
+@pytest.mark.parametrize("p,m", [(3, 6), (5, 5), (2, 12), (7, 5)])
 def test_period_is_predicted_long(p, m):
     assert_period(p, m)

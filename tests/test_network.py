@@ -1,4 +1,5 @@
 """Tests for circuits, linear maps, trace arrays, and simulation."""
+import copy
 import dataclasses
 import math
 import pickle
@@ -72,6 +73,16 @@ class TestConstruction:
         assert c.gates.tolist() == [[0, 1], [1, 2]]
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.gates = np.zeros((0, 2), dtype=np.int64)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_stay_read_only(self, clone):
+        # a copy is rebuilt through the constructor, so its array is checked and frozen again
+        c = build_cyclic_network(3, 5)
+        twin = clone(c)
+        assert twin == c and not twin.gates.flags.writeable
+        with pytest.raises(ValueError):
+            twin.gates[0, 0] = 2
 
     @pytest.mark.parametrize("gates", [(), [], np.zeros((0, 2), dtype=np.int64)])
     def test_empty_circuit(self, gates):
@@ -240,6 +251,16 @@ class TestTraceArray:
         for a, b in ((arr, twin), (linear_map(Circuit(3, 3)), linear_map(Circuit(3, 3)))):
             assert a == a and a != b and len({a, b, a}) == 2
         assert arr.row(0) == twin.row(0)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_stay_read_only(self, clone):
+        arr = trace_array(4, 26)
+        twin = clone(arr)
+        assert twin.row0.dtype == arr.row0.dtype and twin.header() == arr.header()
+        assert not twin.row0.flags.writeable
+        with pytest.raises(ValueError):
+            twin.row0[0] = 1
 
 
 class TestTraceLinearMap:
