@@ -29,10 +29,9 @@ _EXPORTS = {
         "eval_closed", "find_roots", "max_deviation", "series_denominator",
     ),
     "network": (
-        "Circuit", "LinearMapZd", "StateVector", "SwapVerdict", "TraceArray",
-        "build_cyclic_network", "export_circuit", "full_operator", "linear_map",
-        "parse_circuit", "permutation_matrix_text", "random_qudit", "simulate",
-        "trace_array", "verify_swap",
+        "Circuit", "LinearMapZd", "StateVector", "TraceArray", "build_cyclic_network",
+        "export_circuit", "full_operator", "linear_map", "parse_circuit",
+        "permutation_matrix_text", "random_qudit", "simulate", "trace_array", "verify_swap",
     ),
     "seqcore": (
         "PascalTable", "binom_exact", "binom_mod", "exact_sequence", "first_window_return",

@@ -120,17 +120,17 @@ def cmd_scan(args) -> int:
 
 def cmd_swap(args) -> int:
     from . import network
-    verdict = network.verify_swap(args.d, args.budget)
+    report = network.verify_swap(args.d, args.budget)
     if args.json:
         _emit_json({
             "d": args.d,
-            "kind": verdict.kind,
-            "shift": verdict.shift,
-            "permutation": list(verdict.permutation),
-            "gates": verdict.gate_count,
+            "kind": report.kind,
+            "shift": report.shift,
+            "permutation": list(report.permutation),
+            "gates": report.length,
         })
     else:
-        print(verdict.describe())
+        print(report.describe())
     return 0
 
 
@@ -324,9 +324,9 @@ def _check_basis_agreement():
 def _check_shift_consistency():
     from . import network
     for d in range(2, 10):
-        verdict = network.verify_swap(d)
-        sigma = network.trace_array(d, verdict.gate_count).linear_map().permutation()
-        _require(sigma is not None and verdict.permutation == tuple(map(sigma.index, range(d))), d)
+        report = network.verify_swap(d)
+        sigma = network.trace_array(d, report.length).linear_map().permutation()
+        _require(sigma is not None and report.permutation == tuple(map(sigma.index, range(d))), d)
 
 
 def _check_trace_row():

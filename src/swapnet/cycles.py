@@ -82,9 +82,9 @@ class CycleReport:
     """Everything the period mod d says about the induced permutation.
 
     One full cycle of ``length`` gates shifts the systems cyclically, so
-    ``shift`` (length mod d) and ``permutation`` are derived, not stored.
-    ``permutation[i]`` is the system on which the state initially held
-    by system i ends up after one full cycle of the network.
+    ``shift`` (length mod d), ``permutation`` and the cycle's ``kind``
+    are derived, not stored.  ``permutation[i]`` is the system on which
+    the state initially held by system i ends up after one full cycle.
     ``conjecture_ok`` is set for prime-power d with d = p^m, m > 1,
     and records whether the measured period matches the predicted one.
     """
@@ -102,6 +102,30 @@ class CycleReport:
     @property
     def permutation(self) -> tuple[int, ...]:
         return (*range(self.shift, self.d), *range(self.shift))  # i -> (i + shift) mod d
+
+    @property
+    def gate_count(self) -> int:  # the name the benchmark's network workload reads
+        return self.length
+
+    @property
+    def kind(self) -> str:
+        """One of "identity" (shift 0), "swap" (shift -1), "grouped" (d = p^m, shift d - d/p), "other"."""
+        if self.shift == 0:
+            return "identity"
+        if self.shift == self.d - 1:
+            return "swap"
+        f = Factorization.of(self.d)
+        grouped = f.is_prime_power and self.shift == self.d - self.d // f.factors[0][0]
+        return "grouped" if grouped else "other"
+
+    def describe(self) -> str:
+        if self.kind == "swap":
+            return f"SWAP: cyclic shift by -1, {self.length} gates"
+        if self.kind == "identity":
+            return f"IDENTITY: shift 0, {self.length} gates"
+        if self.kind == "grouped":
+            return f"GROUPED: shift {self.shift}, {self.length} gates"
+        return f"OTHER: permutation {list(self.permutation)}, {self.length} gates"
 
     def to_dict(self) -> dict:
         out = {

@@ -22,7 +22,6 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import SizeBudgetError, SwapnetError
-from .factor import Factorization
 from .seqcore import _check_modulus, _terms
 
 OPERATOR_SIZE_LIMIT = 10 ** 6
@@ -45,11 +44,9 @@ class Circuit:
         _check_modulus(self.d)
         if self.n_systems < 1:
             raise ValueError("need at least one system")
-        try:
-            gates = np.array(self.gates, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError(f"gate index outside int64: {exc}") from exc
-        gates.flags.writeable = False  # and so every view of it
+        gates = np.array(self.gates)  # a copy in the inferred type, so no float or str is cast yet
+        if gates.size and gates.dtype.kind not in "iu":  # the empty list infers float64
+            raise ValueError(f"gate entries must be integers in int64, got {gates.dtype}")
         if gates.shape[1:] != (2,) and gates.shape != (0,):  # (0,) is an empty list
             raise ValueError(f"gates must be (control, target) rows, got shape {gates.shape}")
         gates = gates.reshape(-1, 2)
@@ -58,6 +55,8 @@ class Circuit:
             k = int(bad.argmax())
             raise ValueError(f"gate {k} {gates[k].tolist()} needs distinct control and target "
                              f"in 0..{self.n_systems - 1}")
+        gates = gates.astype(np.int64, copy=False)  # exact: every index is in range
+        gates.flags.writeable = False  # and so every view of it
         object.__setattr__(self, "gates", gates)
 
     def __len__(self) -> int:
@@ -95,8 +94,8 @@ class LinearMapZd:
     matrix: np.ndarray
 
     def apply(self, exponents) -> tuple[int, ...]:
-        vec = np.asarray(exponents, dtype=np.int64)
-        return tuple(int(v) for v in (self.matrix @ vec) % self.d)
+        vec = np.array([int(v) for v in exponents], dtype=object)  # Python ints: exact at any d
+        return tuple((self.matrix.astype(object) @ vec) % self.d)
 
     def permutation(self) -> tuple[int, ...] | None:
         """sigma with output system i holding input digit sigma(i), if any.
@@ -111,8 +110,8 @@ class LinearMapZd:
 
 def linear_map(circuit: Circuit) -> LinearMapZd:
     """Compose all gates into one matrix over Z_d (identity if empty)."""
-    n = circuit.n_systems
-    mat = np.eye(n, dtype=np.int64)
+    # entries stay below d, so a sum of two fits int64 while 2(d - 1) < 2^63
+    mat = np.eye(circuit.n_systems, dtype=np.int64 if circuit.d <= 2 ** 62 else object)
     for c, t in zip(*circuit.gates.T.tolist()):  # two flat lists; a list per row costs 0.5 us a gate
         mat[t] = (mat[t] + mat[c]) % circuit.d
     return LinearMapZd(circuit.d, mat)
@@ -332,73 +331,27 @@ def permutation_matrix_text(perm: np.ndarray) -> str:
     return "".join(" ".join(map(str, row)) + "\n" for row in dense.tolist())
 
 
-@dataclass(frozen=True)
-class SwapVerdict:
-    """Classification of what one full cycle of the network does.
-
-    kind is one of "swap" (cyclic shift by -1, the full SWAP),
-    "grouped" (prime-power grouped cyclic swaps), "identity", "other".
-    ``shift`` (gate_count mod d) and ``permutation`` are derived, not
-    stored; ``permutation[i]`` is where the state starting on system i ends up.
-    """
-
-    kind: str
-    d: int
-    gate_count: int
-
-    @property
-    def shift(self) -> int:
-        return self.gate_count % self.d
-
-    @property
-    def permutation(self) -> tuple[int, ...]:
-        return (*range(self.shift, self.d), *range(self.shift))  # i -> (i + shift) mod d
-
-    def describe(self) -> str:
-        if self.kind == "swap":
-            return f"SWAP: cyclic shift by -1, {self.gate_count} gates"
-        if self.kind == "identity":
-            return f"IDENTITY: shift 0, {self.gate_count} gates"
-        if self.kind == "grouped":
-            return f"GROUPED: shift {self.shift}, {self.gate_count} gates"
-        return f"OTHER: permutation {list(self.permutation)}, {self.gate_count} gates"
-
-
-def verify_swap(d: int, budget: int | None = None) -> SwapVerdict:
-    """Classify one full cycle of N gates, N the certified period mod d.
+def verify_swap(d: int, budget: int | None = None):
+    """The ``CycleReport`` of one full cycle of N gates, N the certified period mod d.
 
     Row 0 of the trace is the sequence mod d from t = -2(d-1) on, so
     after N gates every column equals the unit column N steps earlier:
-    the cycle's map is the cyclic shift by N mod d, which the cycle
-    report already holds.  The trace row and the gates are its oracles.
+    the cycle's map is the cyclic shift by N mod d, whose ``kind`` the
+    report names.  The trace row and the gates are its oracles.
     """
     from . import cycles  # simulate, trace and export need neither it nor the ring
-    report = cycles.cycle_length(d, budget)
-    shift, f = report.shift, Factorization.of(d)
-    kind = "other"
-    if shift == 0:
-        kind = "identity"
-    elif shift == d - 1:
-        kind = "swap"
-    elif f.is_prime_power and shift == d - d // f.factors[0][0]:  # d = p^m, m > 1 (m = 1 is the swap)
-        kind = "grouped"
-    return SwapVerdict(kind, d, report.length)
+    return cycles.cycle_length(d, budget)
 
 
 def export_circuit(circuit: Circuit, format: str = "gatelist") -> str:
-    """Serialize deterministically as JSON or as a line-per-gate list."""
-    if format == "json":
-        doc = {
-            "d": circuit.d,
-            "systems": circuit.n_systems,
-            "gates": circuit.gates.tolist(),
-        }
-        return json.dumps(doc, separators=(",", ":"))
-    if format == "gatelist":
-        lines = [f"DIM {circuit.d} SYSTEMS {circuit.n_systems}"]
-        lines.extend(f"CNOT {c} {t}" for c, t in zip(*circuit.gates.T.tolist()))
-        return "\n".join(lines)
-    raise ValueError(f"unknown format {format!r}")
+    """Serialize deterministically as compact JSON or as a line-per-gate list."""
+    if format not in ("json", "gatelist"):
+        raise ValueError(f"unknown format {format!r}")
+    pairs = zip(*circuit.gates.T.tolist())  # two flat lists; a list per row costs 0.5 us a gate
+    if format == "json":  # the bytes of json.dumps(..., separators=(",", ":")), from int fields
+        gates = ",".join(f"[{c},{t}]" for c, t in pairs)
+        return f'{{"d":{circuit.d},"systems":{circuit.n_systems},"gates":[{gates}]}}'
+    return "\n".join([f"DIM {circuit.d} SYSTEMS {circuit.n_systems}", *(f"CNOT {c} {t}" for c, t in pairs)])
 
 
 def parse_circuit(text: str) -> Circuit:

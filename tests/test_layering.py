@@ -90,9 +90,10 @@ def test_seqcore_holds_no_factoring():
     assert not (FACTORING - {"_check_prime"}) & _imported_names(TREES["seqcore"])
 
 
-def test_network_and_cycles_import_factor_directly():
-    for name in ("network", "cycles", "seqcore"):
+def test_cycles_and_seqcore_import_factor_directly():
+    for name in ("cycles", "seqcore"):
         assert "factor" in _imports(TREES[name])[0], name
+    assert "factor" not in _imports(TREES["network"])[0]  # the cycle report names the kind
 
 
 def test_light_modules_load_neither_numpy_nor_a_process_pool():

@@ -1,6 +1,7 @@
 """Tests for circuits, linear maps, trace arrays, and simulation."""
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import tracemalloc
@@ -11,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapnet import network
-from swapnet.errors import SizeBudgetError, SwapnetError
-from swapnet.cycles import cycle_length, cycle_length_direct
+from swapnet.errors import InconclusiveError, SizeBudgetError, SwapnetError
+from swapnet.cycles import CycleReport, cycle_length, cycle_length_direct
 from swapnet.network import (
     GATE_LIMIT,
     TRACE_LIMIT,
     Circuit,
     StateVector,
-    SwapVerdict,
     build_cyclic_network,
     digits_of_index,
     export_circuit,
@@ -83,6 +83,20 @@ class TestConstruction:
         assert twin == c and not twin.gates.flags.writeable
         with pytest.raises(ValueError):
             twin.gates[0, 0] = 2
+
+    @pytest.mark.parametrize("gates", [
+        [[0, 1.9]], [["0", "2"]], [[0, "2"]], [[True, False]], np.array([[0.0, 1.0]]),
+    ])
+    def test_entries_that_are_not_integers_raise(self, gates):
+        # a cast to int64 would truncate 1.9 to 1 and parse "2" as 2
+        with pytest.raises(ValueError, match="must be integers"):
+            Circuit(3, 3, gates)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_every_integer_dtype_is_accepted(self, dtype):
+        c = Circuit(3, 3, np.array([[0, 1], [2, 0]], dtype=dtype))
+        assert c.gates.dtype == np.int64 and c == Circuit(3, 3, [[0, 1], [2, 0]])
 
     @pytest.mark.parametrize("gates", [(), [], np.zeros((0, 2), dtype=np.int64)])
     def test_empty_circuit(self, gates):
@@ -167,6 +181,29 @@ class TestLinearMap:
     ])
     def test_permutation_needs_distinct_unit_rows(self, rows):
         assert network.LinearMapZd(3, np.array(rows, dtype=np.int64)).permutation() is None
+
+    def test_wide_modulus_matrix_is_exact(self):
+        # 2(d - 1) passes int64, where a row sum would wrap silently; column j is unit j's image
+        d, pairs = 2 ** 63 - 25, [[0, 1], [1, 0]] * 60
+        m = linear_map(Circuit(d, 2, pairs))
+        assert m.matrix[0].tolist() == [790376312002928789, 4376692037230634858]
+        assert m.matrix.T.tolist() == [list(basis_map_oracle(d, pairs, (1, 0))),
+                                       list(basis_map_oracle(d, pairs, (0, 1)))]
+
+    def test_apply_is_exact(self):
+        # every entry fits int64, but a dot product of two of them does not
+        d, pairs = 2 ** 40 + 15, [[0, 1], [1, 0]] * 30
+        m = linear_map(Circuit(d, 2, pairs))
+        assert m.matrix.dtype == np.int64
+        assert m.apply((d - 3, d - 7)) == (341444035124, 753547455654)
+        assert m.apply((d - 3, d - 7)) == basis_map_oracle(d, pairs, (d - 3, d - 7))
+
+    @given(st.integers(2, 10 ** 25), st.lists(st.sampled_from([[0, 1], [1, 2], [2, 0], [1, 0]]),
+                                              max_size=40), st.integers(0, 10 ** 25))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_maps_match_the_digit_oracle(self, d, pairs, x):
+        digits = (x % d, (x // 3 + 1) % d, d - 1)
+        assert linear_map(Circuit(d, 3, pairs)).apply(digits) == basis_map_oracle(d, pairs, digits)
 
     @given(st.integers(2, 5), st.integers(0, 40), st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
@@ -542,13 +579,32 @@ class TestVerifySwap:
         assert verdict.gate_count == 6552
 
     def test_shift_and_permutation_are_derived(self):
-        verdict = verify_swap(8)
-        assert [f.name for f in dataclasses.fields(verdict)] == ["kind", "d", "gate_count"]
-        assert pickle.loads(pickle.dumps(verdict)) == verdict == SwapVerdict("grouped", 8, 252)
-        assert (verdict.shift, verdict.permutation) == (4, (4, 5, 6, 7, 0, 1, 2, 3))
-        assert verdict.describe() == "GROUPED: shift 4, 252 gates"
-        other = SwapVerdict("other", 10, 1736327236)
-        assert other.describe() == "OTHER: permutation [6, 7, 8, 9, 0, 1, 2, 3, 4, 5], 1736327236 gates"
+        report = verify_swap(8)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "d", "length", "per_factor", "method", "conjecture_ok"]
+        assert report == CycleReport(8, 252, ((8, 252),), "predicted-and-verified", True)
+        assert (report.kind, report.shift, report.gate_count) == ("grouped", 4, 252)
+        assert report.permutation == (4, 5, 6, 7, 0, 1, 2, 3)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 10, 12, 25])
+    def test_is_the_cycle_report(self, d):
+        report = verify_swap(d)
+        assert type(report) is CycleReport and report == cycle_length(d)
+        assert pickle.loads(pickle.dumps(report)) == report and report.gate_count == report.length
+
+    @pytest.mark.parametrize("d, text", [
+        (3, "SWAP: cyclic shift by -1, 8 gates"),
+        (8, "GROUPED: shift 4, 252 gates"),
+        (6, "IDENTITY: shift 0, 6552 gates"),
+        (10, "OTHER: permutation [6, 7, 8, 9, 0, 1, 2, 3, 4, 5], 1736327236 gates"),
+    ])
+    def test_describe_each_kind(self, d, text):
+        assert verify_swap(d).describe() == text
+
+    def test_budget_is_passed_on(self):
+        assert verify_swap(8, 252) == cycle_length(8)
+        with pytest.raises(InconclusiveError, match="within 251 steps"):
+            verify_swap(8, 251)
 
     # every d <= 43 whose cycle has at most 10^7 gates, and prime powers up to 125
     @pytest.mark.parametrize("d", [*range(2, 10), 11, 12, 13, 16, 17, 19, 23, 25, 27, 29,
@@ -611,6 +667,19 @@ class TestSerialization:
     def test_json_format(self):
         text = export_circuit(build_cyclic_network(3, 2), "json")
         assert text == '{"d":3,"systems":3,"gates":[[0,1],[1,2]]}'
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_cyclic_network(7, 10 ** 6), lambda: build_cyclic_network(10 ** 30, 3),
+        lambda: Circuit(2, 2), lambda: Circuit(5, 12, [[11, 0], [3, 10]]),
+    ], ids=["d7-million", "d10^30", "empty", "wide"])
+    def test_json_is_the_json_module_text(self, build):
+        circuit = build()
+        doc = {"d": circuit.d, "systems": circuit.n_systems, "gates": circuit.gates.tolist()}
+        assert export_circuit(circuit, "json") == json.dumps(doc, separators=(",", ":"))
+
+    def test_unknown_format_raises(self):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            export_circuit(Circuit(2, 2), "xml")
 
     @pytest.mark.parametrize("fmt", ["json", "gatelist"])
     def test_round_trip(self, fmt):
