@@ -137,10 +137,7 @@ def cmd_swap(args) -> int:
 def cmd_trace(args) -> int:
     from . import network
     seqcore._check_modulus(args.d)  # an invalid d is a usage error before any size check
-    # d rows of T + d coefficients each, refused before any is built
-    if args.d * (args.steps + args.d) > network.TRACE_LIMIT:
-        raise SizeBudgetError(f"{args.d} rows of {args.steps + args.d} coefficients "
-                              f"exceed the {network.TRACE_LIMIT} trace limit")
+    network._check_trace_rows(args.d, args.steps)  # before any row is built
     arr = network.trace_array(args.d, args.steps)
     if args.json:
         _emit_json({
@@ -359,22 +356,12 @@ def _check_serialization():
             _require(network.parse_circuit(network.export_circuit(circuit, fmt)) == circuit)
 
 
-CHECKS = [
-    ("table-values", _check_table_values),
-    ("prime-periods", _check_prime_periods),
-    ("prime-power-instances", _check_prime_power_instances),
-    ("route-agreement", _check_route_agreement),
-    ("pascal-rule", _check_pascal_rule),
-    ("hockey-stick", _check_hockey_stick),
-    ("diagonal-periods", _check_diagonal_periods),
-    ("qutrit-swap", _check_qutrit_swap),
-    ("basis-agreement", _check_basis_agreement),
-    ("shift-consistency", _check_shift_consistency),
-    ("trace-row", _check_trace_row),
-    ("closed-form-values", _check_closed_form_values),
-    ("closed-form-terms", _check_closed_form_terms),
-    ("serialization", _check_serialization),
-]
+# each check is named by its function: _check_table_values runs as "table-values"
+CHECKS = [(fn.__name__.removeprefix("_check_").replace("_", "-"), fn) for fn in (
+    _check_table_values, _check_prime_periods, _check_prime_power_instances, _check_route_agreement,
+    _check_pascal_rule, _check_hockey_stick, _check_diagonal_periods, _check_qutrit_swap,
+    _check_basis_agreement, _check_shift_consistency, _check_trace_row, _check_closed_form_values,
+    _check_closed_form_terms, _check_serialization)]
 
 
 def cmd_check(args) -> int:

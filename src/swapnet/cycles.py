@@ -101,7 +101,8 @@ class CycleReport:
 
     @property
     def permutation(self) -> tuple[int, ...]:
-        return (*range(self.shift, self.d), *range(self.shift))  # i -> (i + shift) mod d
+        """i -> (i + shift) mod d, input system to output: ``LinearMapZd.permutation`` inverted."""
+        return (*range(self.shift, self.d), *range(self.shift))
 
     @property
     def gate_count(self) -> int:  # the name the benchmark's network workload reads

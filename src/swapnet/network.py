@@ -100,7 +100,7 @@ class LinearMapZd:
     def permutation(self) -> tuple[int, ...] | None:
         """sigma with output system i holding input digit sigma(i), if any.
 
-        None when the matrix mixes digits instead of permuting them.
+        None when the matrix mixes digits; ``CycleReport.permutation`` is its inverse, j -> sigma.index(j).
         """
         n = self.matrix.shape[0]
         sigma = self.matrix.argmax(axis=1)  # also 0 on an all-zero row, so compare whole rows
@@ -108,8 +108,19 @@ class LinearMapZd:
         return tuple(sigma.tolist()) if unit_rows and (self.matrix.sum(axis=0) == 1).all() else None
 
 
+def _check_matrix(n: int) -> None:
+    if n * n > OPERATOR_SIZE_LIMIT:
+        raise SizeBudgetError(f"a {n} x {n} matrix exceeds the {OPERATOR_SIZE_LIMIT} entry limit")
+
+
+def _check_trace_rows(d: int, T: int) -> None:
+    if d * (T + d) > TRACE_LIMIT:
+        raise SizeBudgetError(f"{d} rows of {T + d} coefficients exceed the {TRACE_LIMIT} trace limit")
+
+
 def linear_map(circuit: Circuit) -> LinearMapZd:
     """Compose all gates into one matrix over Z_d (identity if empty)."""
+    _check_matrix(circuit.n_systems)
     # entries stay below d, so a sum of two fits int64 while 2(d - 1) < 2^63
     mat = np.eye(circuit.n_systems, dtype=np.int64 if circuit.d <= 2 ** 62 else object)
     for c, t in zip(*circuit.gates.T.tolist()):  # two flat lists; a list per row costs 0.5 us a gate
@@ -168,13 +179,15 @@ class TraceArray:
 
         With the all-ones digit vector (the default) this is exactly the
         binomial summation sequence mod d, starting at its term 0.  Any d
-        ints serve as digits: they are reduced mod d first.
+        ints serve as digits: they are reduced mod d first.  Its d (T + d) steps
+        are refused past TRACE_LIMIT, so d^2 <= TRACE_LIMIT and int64 holds d^3.
         """
+        _check_trace_rows(self.d, self.t_end)
         e = np.array(tuple(exponents) if exponents is not None else (1,) * self.d, dtype=object)
         if e.shape != (self.d,):
             raise ValueError(f"need {self.d} digits, got shape {e.shape}")
-        acc = np.int64 if self.d <= 2 ** 21 else object  # an entry sums d terms below d^2
-        return (np.convolve(self.row0.astype(acc), (e % self.d).astype(acc), "valid") % self.d).tolist()
+        digits = (e % self.d).astype(np.int64)
+        return (np.convolve(self.row0.astype(np.int64), digits, "valid") % self.d).tolist()
 
     def linear_map(self) -> LinearMapZd:
         """The network's linear map after T gates, read off the columns.
@@ -183,6 +196,7 @@ class TraceArray:
         holds the column of its last update, t = T - (T - s) mod d.
         """
         T, d = self.t_end, self.d
+        _check_matrix(d)
         t = T - (T - np.arange(d)) % d  # entry i of column t is row0[t + 2(d-1) - i]
         return LinearMapZd(d, self.row0[(t + 2 * (d - 1))[:, None] - np.arange(d)].astype(np.int64))
 
@@ -326,6 +340,7 @@ def permutation_matrix_text(perm: np.ndarray) -> str:
     Row r has a single 1 in column c whenever basis c maps to basis r;
     this is the dense unitary as it would be printed for inspection.
     """
+    _check_matrix(len(perm))
     dense = np.zeros((len(perm), len(perm)), dtype=np.int8)
     dense[perm, np.arange(len(perm))] = 1
     return "".join(" ".join(map(str, row)) + "\n" for row in dense.tolist())

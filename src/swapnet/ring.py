@@ -6,16 +6,16 @@ the multiplicative order of x in R_q, and term j is the coefficient sum
 of x^j (the d initial terms are all ones).  Elements are numpy vectors
 of d coefficients, lowest degree first.
 
-``mul`` forms the 2d - 1 product coefficients in one of two ways and
-folds them once by x^d = x^(d-1) + 1.  For vectors of exact ints (dtype
-object, where d (q-1)^2 passes int64), and for d below FFT_MIN_D per
-limb (below), the product is ``np.convolve``, O(d^2).  Otherwise it is
-an exact real-FFT product, O(d log d): numpy's ``rfft`` of both operands
-zero padded to the power of two N >= 2d - 1 (one transform for a
-squaring), a pointwise product, ``irfft``, and ``rint``.  Rounding gives
-the exact integers when the float64 error is below 1/2, which
-``fft_error`` bounds from d, the largest entry and N before any
-transform runs, and which ``mul`` checks on every call:
+Every product the package forms is a square, since ``x_power`` squares
+and shifts.  ``square`` forms the 2d - 1 coefficients of a^2 in one of
+two ways and folds them once by x^d = x^(d-1) + 1.  For exact ints
+(dtype object, where d (q-1)^2 passes int64), and for d below FFT_MIN_D
+per limb (below), it is ``np.convolve``, O(d^2).  Otherwise it is an
+exact real-FFT square, O(d log d): numpy's ``rfft`` of the operand zero
+padded to the power of two N >= 2d - 1, a pointwise square, ``irfft``
+and ``rint``.  Rounding gives the exact integers when the float64 error
+is below 1/2, which ``fft_error`` bounds from d, the largest entry and
+N before any transform runs, and which ``square`` checks on every call:
 
 - Percival (Math. Comp. 72 (2003), 387-395, Theorem 5.1): the cyclic
   convolution z of x and y by radix-2 transforms of length 2^n, in
@@ -41,14 +41,15 @@ transform runs, and which ``mul`` checks on every call:
 - y > 2^-50, so error < 1/2 forces d t^2 < 2^49: every exact coefficient,
   and every input to the transforms, is an integer below 2^53.
 
-Where one limb (t = q - 1) fails the bound, each operand is split into
+Where one limb (t = q - 1) fails the bound, the operand is split into
 L limbs of s = ceil(b / L) bits, b the bit length of q - 1, so
 t = 2^s - 1 and a = sum a_i 2^(s i).  L is the smallest count that
 passes.  For q <= d, as in every period, L = 1 up to d = 19856 and
-L = 2 from there to RING_LIMIT.  Each limb product c_ij is rounded
-exactly on its own; sum c_ij 2^(s (i+j)) is recombined mod q by Horner's
-rule in 2^s mod q, in int64: every step stays below q^2, and an int64
-vector has d (q-1)^2 < 2^63.
+L = 2 from there to RING_LIMIT.  Each limb is transformed once, and each
+limb product c_ij with i <= j is rounded exactly on its own, doubled for
+i < j as c_ij = c_ji: L forward and L (L+1)/2 inverse transforms.  Horner's
+rule in 2^s mod q recombines sum c_ij 2^(s (i+j)) mod q in int64: every
+step stays below q^2, and an int64 vector has d (q-1)^2 < 2^63.
 """
 from __future__ import annotations
 
@@ -93,37 +94,31 @@ def fft_limbs(d: int, q: int) -> tuple[int, int, int]:
     return count, -(-bits // count), size
 
 
-def _fft_product(a: np.ndarray, b: np.ndarray, d: int, q: int) -> np.ndarray:
-    """The 2d - 1 coefficients of a * b mod q, by exact real FFTs of int64 limbs."""
+def _fft_square(a: np.ndarray, d: int, q: int) -> np.ndarray:
+    """The 2d - 1 coefficients of a^2 mod q, by exact real FFTs of int64 limbs."""
     count, width, size = fft_limbs(d, q)
     error = fft_error(d, min(q - 1, 2 ** width - 1), size)
     if error >= 0.5:
         raise VerificationError(f"FFT error bound {error} >= 1/2 at d={d}, q={q}, {count} limbs")
-    rfft, irfft = np.fft.rfft, np.fft.irfft
-
-    def spectra(v):
-        limbs = [v] if count == 1 else [v >> width * i & 2 ** width - 1 for i in range(count)]
-        return [rfft(limb, size) for limb in limbs]
-
-    fa = spectra(a)
-    fb = fa if b is a else spectra(b)
+    limbs = [a] if count == 1 else [a >> width * i & 2 ** width - 1 for i in range(count)]
+    spectra = [np.fft.rfft(limb, size) for limb in limbs]
     sums = [0] * (2 * count - 1)  # sums[k]: the limb products of weight 2^(s k)
     for i in range(count):
-        for j in range(i if b is a else 0, count):  # a squaring has c_ij = c_ji
-            c = np.rint(irfft(fa[i] * fb[j], size)[:2 * d - 1]).astype(np.int64)
-            sums[i + j] += c if i == j or b is not a else 2 * c
+        for j in range(i, count):
+            c = np.rint(np.fft.irfft(spectra[i] * spectra[j], size)[:2 * d - 1]).astype(np.int64)
+            sums[i + j] += c if i == j else 2 * c  # c_ji = c_ij is not formed
     prod = sums[-1] % q
     for c in reversed(sums[:-1]):  # Horner in 2^s, every step below q^2
         prod = (prod * (2 ** width % q) + c % q) % q
     return prod
 
 
-def mul(a: np.ndarray, b: np.ndarray, d: int, q: int) -> np.ndarray:
-    """a * b in R_q, for coefficient vectors of length d; ``b is a`` squares."""
+def square(a: np.ndarray, d: int, q: int) -> np.ndarray:
+    """a^2 in R_q, for a coefficient vector of length d."""
     if a.dtype == object or d < FFT_MIN_D * fft_limbs(d, q)[0]:
-        prod = np.convolve(a, b) % q
+        prod = np.convolve(a, a) % q
     else:
-        prod = _fft_product(a, b, d, q)
+        prod = _fft_square(a, d, q)
     # x^d = x^(d-1) + 1: degree k >= d flows to k-1 and k-d, from the top down,
     # so the d-1 high coefficients reach the low half as a reversed cumulative sum
     s = prod[:d - 1:-1].cumsum()[::-1]
@@ -141,7 +136,7 @@ def x_power(n: int, d: int, q: int) -> np.ndarray:
     r = np.zeros(d, dtype=_dtype(d, q))
     r[n >> low_bits] = 1  # the leading bits of n give a power below d: a bare monomial
     for i in reversed(range(low_bits)):
-        r = mul(r, r, d, q)
+        r = square(r, d, q)
         if n >> i & 1:  # x * r, then x^d -> x^(d-1) + 1: only r[d-1] can pass q
             carry = r[d - 1]
             r[1:] = r[:-1]

@@ -16,6 +16,7 @@ from swapnet.errors import InconclusiveError, SizeBudgetError, SwapnetError
 from swapnet.cycles import CycleReport, cycle_length, cycle_length_direct
 from swapnet.network import (
     GATE_LIMIT,
+    OPERATOR_SIZE_LIMIT,
     TRACE_LIMIT,
     Circuit,
     StateVector,
@@ -32,7 +33,7 @@ from swapnet.network import (
     trace_array,
     verify_swap,
 )
-from swapnet.seqcore import term_mod
+from swapnet.seqcore import seq_stream, term_mod
 
 # top coefficient row of the worked dimension-4 array, first 30 columns
 D4_ROW0 = [0, 0, 0, 1, 1, 1, 1, 2, 3, 0, 1, 3, 2, 2, 3, 2, 0, 2, 1, 3,
@@ -214,6 +215,21 @@ class TestLinearMap:
         pairs = circuit.gates.tolist()
         assert linear_map(circuit).apply(digits) == basis_map_oracle(d, pairs, digits)
 
+    def test_matrix_past_the_size_limit_is_refused_before_allocation(self):
+        # 2^70 systems: unchecked, numpy raises a bare ValueError for the shape
+        with pytest.raises(SizeBudgetError, match="matrix exceeds"):
+            linear_map(build_cyclic_network(2 ** 70, 5))
+        side = math.isqrt(OPERATOR_SIZE_LIMIT)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError):
+                linear_map(Circuit(2, side + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+        assert linear_map(Circuit(2, side)).matrix.shape == (side, side)  # exactly the limit
+
 
 class TestTraceArray:
     def test_row0_matches_worked_array(self):
@@ -280,6 +296,18 @@ class TestTraceArray:
         with pytest.raises(error):
             read(arr)
 
+    def test_header_past_the_trace_limit_is_refused_before_any_work(self, monkeypatch):
+        # d rows of T + d coefficients, the bound that `trace` applies: 1000 * 10001 is past it
+        arr, big = trace_array(1000, 9001), trace_array(2 ** 21, 10 ** 6)
+        monkeypatch.setattr(np, "convolve", lambda *args: pytest.fail("header convolved"))
+        with pytest.raises(SizeBudgetError, match="trace limit"):
+            arr.header()
+        with pytest.raises(SizeBudgetError, match="trace limit"):
+            big.header()  # 2^21 rows of about 3 * 10^6 coefficients: hours of convolution
+        monkeypatch.undo()
+        header = trace_array(1000, 9000).header()  # exactly the limit
+        assert len(header) == 10 ** 4 and header[-5:] == seq_stream(1000, 1000, 10 ** 4)[-5:]
+
     def test_row_is_read_only_and_compared_by_identity(self):
         arr, twin = trace_array(4, 26), trace_array(4, 26)
         with pytest.raises(ValueError):
@@ -309,6 +337,14 @@ class TestTraceLinearMap:
         got = trace_array(d, T).linear_map().matrix
         want = linear_map(build_cyclic_network(d, T)).matrix
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_matrix_past_the_size_limit_is_refused(self):
+        with pytest.raises(SizeBudgetError, match="matrix exceeds"):
+            trace_array(10 ** 6, 10).linear_map()  # 10^12 entries
+        side = math.isqrt(OPERATOR_SIZE_LIMIT)
+        with pytest.raises(SizeBudgetError):
+            trace_array(side + 1, 0).linear_map()
+        assert trace_array(side, 0).linear_map().matrix.shape == (side, side)  # exactly the limit
 
     @pytest.mark.parametrize("d, T, limit_mb", [
         (125, 390600, 20),  # one d=125 cycle; a column tuple per step would need ~400 MB
@@ -531,6 +567,21 @@ class TestFullOperator:
         assert swap == "0 1\n1 0\n"
         # basis c goes to perm[c]: row r holds its 1 in the column that maps to r
         assert permutation_matrix_text(np.array([1, 2, 0])) == "0 0 1\n1 0 0\n0 1 0\n"
+
+    def test_dense_rendering_past_the_size_limit_is_refused(self):
+        side = math.isqrt(OPERATOR_SIZE_LIMIT)
+        perms = np.arange(side + 1), np.arange(10 ** 6)  # 10^6 states, as full_operator allows: 1 TB
+        tracemalloc.start()
+        try:
+            for perm in perms:
+                with pytest.raises(SizeBudgetError, match="matrix exceeds"):
+                    permutation_matrix_text(perm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+        text = permutation_matrix_text(np.arange(side))  # exactly the limit
+        assert text.count("1") == side and len(text) == 2 * side * side
 
 
 # which kind of cycle verify_swap finds for each d <= 43; grouped has shift d - d/p
