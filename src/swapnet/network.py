@@ -299,25 +299,24 @@ def digits_of_index(d: int, n: int, index: int) -> tuple[int, ...]:
 
 
 def simulate(circuit: Circuit, state: StateVector) -> StateVector:
-    """Run the circuit gate by gate; each gate permutes basis amplitudes.
+    """Run the circuit gate by gate on the basis labels, then move the amplitudes once.
 
-    Gate (c, t) sends digit x[t] to x[t] + x[c], so output amplitude i is
-    input amplitude i + ((x[t] - x[c]) mod d - x[t]) * d^(n-1-t).  That
-    offset depends on two digits only, so it is built on a d x d grid
-    broadcast along axes c and t, and each gate is one gather.
+    Row k of ``x`` is digit k of every basis state.  Each gate (c, t) applies
+    its own rule x[t] <- x[t] + x[c] mod d, in order, with no matrix and no
+    composition.  The unsigned sum s is below 2d, so min(s, s - d) is exact,
+    since s - d wraps above s when s < d.  One scatter fills a new array.
     """
     if state.d != circuit.d or state.n != circuit.n_systems:
         raise ValueError(f"state is {state.n} systems of dimension {state.d}, "
                          f"circuit wants {circuit.n_systems} of {circuit.d}")
     d, n = circuit.d, circuit.n_systems
-    index = np.arange(d ** n, dtype=np.int64).reshape((d,) * n)
-    digit = np.arange(d, dtype=np.int64)
-    amps = state.amplitudes
+    x = np.indices((d,) * n, dtype=np.min_scalar_type(2 * (d - 1))).reshape(n, -1)
     for c, t in zip(*circuit.gates.T.tolist()):
-        xc = digit.reshape([d if k == c else 1 for k in range(n)])
-        xt = digit.reshape([d if k == t else 1 for k in range(n)])
-        amps = amps[(index + ((xt - xc) % d - xt) * d ** (n - 1 - t)).ravel()]
-    return StateVector(d, n, amps)
+        x[t] += x[c]
+        np.minimum(x[t], x[t] - d, out=x[t])
+    out = np.empty_like(state.amplitudes)
+    out[np.ravel_multi_index(tuple(x), (d,) * n)] = state.amplitudes
+    return StateVector(d, n, out)
 
 
 def full_operator(circuit: Circuit) -> np.ndarray:
