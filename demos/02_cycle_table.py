@@ -9,7 +9,7 @@ dimensions give exactly -1, which is the full SWAP.
 """
 import time
 
-from swapnet import cycle_length, predicted_cycle, scan, scan_csv, verify_conjecture, verify_swap
+from swapnet import cycle_length, cycle_length_direct, predicted_cycle, scan, scan_csv, verify_swap
 
 # The table of periods for small dimensions.
 entries = scan(9)
@@ -22,13 +22,15 @@ d6 = entries[4]
 assert d6.per_factor == ((2, 63), (3, 728))
 assert d6.length == 6552
 
-# Prime powers follow p^(m-1) * (p^(2m) - 1).  That formula is checked
-# by brute force here, never assumed: the window of the last d terms
-# must come back to all ones at exactly the predicted step, preceded
-# by d-1 zeros.
+# Prime powers follow N = p^(m-1) * (p^(2m) - 1).  That formula is checked
+# by brute force here, never assumed: cycle_length_direct, the one
+# brute-force oracle, runs the window of the last d terms until it comes
+# back to all ones, and refuses a return that is not preceded by d-1
+# zeros.  With a budget of 2N, the return must come at exactly step N.
 for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]:
-    assert verify_conjecture(p, m)
-    print(f"p^m = {p ** m}: predicted {predicted_cycle(p, m)} confirmed")
+    n = predicted_cycle(p, m)
+    assert cycle_length_direct(p ** m, p ** m, 2 * n) == n
+    print(f"p^m = {p ** m}: predicted {n} confirmed")
 
 # Brute force needs one step per gate: 6.1e9 for d = 3125 = 5^5, tens of
 # minutes.  The period is also the multiplicative order of x in
@@ -57,7 +59,9 @@ for d in (14, 22):
     print(f"d={d}: period {report.length} = lcm({factors}) in {elapsed * 1000:.0f} ms ({report.method})")
 
 # Shifts read off the table: d=5 gives -1 (full SWAP), d=4 gives 2
-# (two transpositions), d=6 gives 0 (the network does nothing).
+# (two transpositions), d=6 gives 0 (the network does nothing).  Every
+# permutation in swapnet reads from input to output, so the report's
+# permutation[i] is (i + shift) mod d.
 for e in entries:
     print(f"d={e.d}: state of system i ends on system (i + {e.shift}) mod {e.d}")
 

@@ -16,7 +16,7 @@ import importlib
 _EXPORTS = {
     "cycles": (
         "CycleReport", "ScanFailure", "cycle_length", "cycle_length_direct",
-        "predicted_cycle", "scan", "scan_csv", "verify_conjecture",
+        "predicted_cycle", "scan", "scan_csv",
     ),
     "errors": (
         "FactoringError", "InconclusiveError", "InvalidModulusError", "InvalidPrimeError",

@@ -13,9 +13,9 @@ so the order mod p^e is ord_p * p^j with j < e (the form Wall proved for
 Fibonacci, 1960), and stripping p alone from ord_p * p^(e-1) finds it.  For
 d = p^m the period is checked against N = p^(m-1) * (p^(2m) - 1), proven for
 prime d.  A multiple not factored into proven primes is inconclusive, naming
-the cofactor.  Brute force (the window's first return to all ones) is only
-the oracle (``cycle_length_direct``, ``verify_conjecture``).  The period mod
-d is the shift by which a network of that many gates cycles its systems.
+the cofactor.  Brute force (the window's first return to all ones after d-1
+zeros) is only the oracle (``cycle_length_direct``).  The period mod d is the
+shift by which a network of that many gates cycles its systems.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ def predicted_cycle(p: int, m: int) -> int:
     """Expected period of the order-p^m sequence mod p^m.
 
     For m = 1 this is the proven p^2 - 1; for m > 1 it is the value that
-    ``cycle_length`` and ``verify_conjecture`` check instance by instance.
+    ``cycle_length`` and ``cycle_length_direct`` check instance by instance.
     """
     _check_prime(p)
     if m < 1:
@@ -65,15 +65,20 @@ def env_budget() -> int | None:
 
 
 def cycle_length_direct(d: int, m: int, budget: int) -> int:
-    """Brute-force period of the order-d sequence mod m.
+    """Brute-force period of the order-d sequence mod m: the oracle for every period.
 
     Advances the d-term window until it first returns to all ones,
-    which is the period because the recurrence is reversible.
+    which is the period because the recurrence is reversible, and so
+    preceded by the d-1 zeros that precede the initial ones; any other
+    tail raises VerificationError.
     """
-    steps, _ = first_window_return(d, m, budget)
+    steps, tail = first_window_return(d, m, budget)
     if steps is None:
         raise InconclusiveError(f"no window return within {budget} steps (order {d}, mod {m})",
                                 steps=budget)
+    if any(tail):
+        raise VerificationError(f"window return at step {steps} not preceded by {d - 1} zeros "
+                                f"(order {d}, mod {m})")
     return steps
 
 
@@ -101,7 +106,7 @@ class CycleReport:
 
     @property
     def permutation(self) -> tuple[int, ...]:
-        """i -> (i + shift) mod d, input system to output: ``LinearMapZd.permutation`` inverted."""
+        """i -> (i + shift) mod d, input system to output, as ``LinearMapZd.permutation`` reads."""
         return (*range(self.shift, self.d), *range(self.shift))
 
     @property
@@ -241,25 +246,6 @@ def cycle_length(d: int, budget: int | None = None) -> CycleReport:
     ok = length == expected
     return CycleReport(d, length, tuple(per_factor), "predicted-and-verified" if ok else "direct",
                        None if m == 1 else ok)
-
-
-def verify_conjecture(p: int, m: int, budget: int | None = None) -> bool:
-    """Check one prime-power instance of the predicted period.
-
-    True iff the measured period equals p^(m-1) * (p^(2m) - 1) and the
-    window that closes the cycle is preceded by d-1 zeros (the
-    sufficient condition for periodicity restated on the sequence).
-    """
-    expected = predicted_cycle(p, m)
-    if budget is None:
-        budget = 2 * expected
-    if budget < expected:
-        raise InconclusiveError(f"budget {budget} below predicted period {expected}", steps=0)
-    d = p ** m
-    steps, tail = first_window_return(d, d, budget)
-    if steps is None:
-        raise InconclusiveError(f"no window return within {budget} steps for d={d}", steps=budget)
-    return steps == expected and all(v == 0 for v in tail)
 
 
 def scan(max_n: int, budget: int | None = None, jobs: int = 1) -> list[CycleReport | ScanFailure]:

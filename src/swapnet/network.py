@@ -11,6 +11,9 @@ Conventions used throughout:
   rendering for eyeballing.
 * ``LinearMapZd`` describes the same action on the exponent vector:
   after the circuit, system i carries ``sum_j M[i][j] * x[j] mod d``.
+* Every permutation reads from input to output: entry j is where input j
+  ends up, a system for ``LinearMapZd.permutation``, a basis index for
+  ``full_operator``, as for ``CycleReport.permutation``.
 """
 from __future__ import annotations
 
@@ -98,14 +101,11 @@ class LinearMapZd:
         return tuple((self.matrix.astype(object) @ vec) % self.d)
 
     def permutation(self) -> tuple[int, ...] | None:
-        """sigma with output system i holding input digit sigma(i), if any.
-
-        None when the matrix mixes digits; ``CycleReport.permutation`` is its inverse, j -> sigma.index(j).
-        """
+        """For each input digit j, the system holding it after the circuit; None if digits mix."""
         n = self.matrix.shape[0]
-        sigma = self.matrix.argmax(axis=1)  # also 0 on an all-zero row, so compare whole rows
-        unit_rows = np.array_equal(self.matrix, np.eye(n, dtype=np.int64)[sigma])
-        return tuple(sigma.tolist()) if unit_rows and (self.matrix.sum(axis=0) == 1).all() else None
+        sigma = self.matrix.argmax(axis=0)  # also 0 on an all-zero column, so compare whole columns
+        unit_columns = np.array_equal(self.matrix.T, np.eye(n, dtype=np.int64)[sigma])
+        return tuple(sigma.tolist()) if unit_columns and (self.matrix.sum(axis=1) == 1).all() else None
 
 
 def _check_matrix(n: int) -> None:

@@ -27,7 +27,7 @@ N before any transform runs, and which ``square`` checks on every call:
 - Twiddle error: the bound takes beta = TWIDDLE_ERROR = 2^-50 = 8 eps.
   numpy's transform of a unit impulse, which passes its twiddles through
   every layer, lies within 2.1 eps of exp(-2 pi i k / N) for N up to
-  2^16 (numpy 2.4; tests/test_ring.py checks it against 40-digit roots).
+  2^21 (numpy 2.4; tests/test_ring.py checks it against 40-digit roots).
 - Layers: pocketfft runs a power-of-two transform as radix-4 passes;
   each does the additions of two radix-2 layers with one twiddle product
   where those do two.  A real transform of length N is a complex

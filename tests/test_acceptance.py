@@ -143,7 +143,7 @@ def test_criterion_7_permutation_classification():
     mapping4 = linear_map(build_cyclic_network(4, 30))
     assert mapping4.permutation() == (2, 3, 0, 1)  # (0 2)(1 3)
     mapping5 = linear_map(build_cyclic_network(5, 24))
-    assert mapping5.permutation() == (1, 2, 3, 4, 0)
+    assert mapping5.permutation() == (4, 0, 1, 2, 3)  # digit j ends on system j - 1
     mapping6 = linear_map(build_cyclic_network(6, 6552))
     assert mapping6.permutation() == (0, 1, 2, 3, 4, 5)
     assert verify_swap(4).kind == "grouped"
@@ -186,9 +186,8 @@ def test_criterion_8_property_suite():
 def test_criterion_9_cross_module_consistency():
     for d in range(2, 10):
         verdict = verify_swap(d)
-        sigma = trace_array(d, verdict.gate_count).linear_map().permutation()
-        assert sigma is not None, f"d={d}"
-        assert verdict.permutation == tuple(sigma.index(i) for i in range(d)), f"d={d}"
+        row_map = trace_array(d, verdict.gate_count).linear_map()
+        assert row_map.permutation() == verdict.permutation, f"d={d}"
         assert verdict.shift == cycle_length(d).shift
 
 

@@ -21,7 +21,6 @@ from swapnet.cycles import (
     predicted_cycle,
     scan,
     scan_csv,
-    verify_conjecture,
 )
 from swapnet.factor import Factorization, _check_prime
 from swapnet.seqcore import seq_stream
@@ -246,23 +245,29 @@ class TestCycleLength:
 
 
 class TestVerifyConjecture:
+    """The predicted period N of d = p^m against the brute-force oracle, with budget 2N."""
+
     @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3), (2, 4), (5, 2)])
     def test_instances(self, p, m):
-        assert verify_conjecture(p, m)
+        n = predicted_cycle(p, m)
+        assert cycle_length_direct(p ** m, p ** m, 2 * n) == n
 
     def test_expected_values(self):
         assert predicted_cycle(2, 4) == 8 * (2 ** 8 - 1) == 2040
         assert predicted_cycle(5, 2) == 5 * (5 ** 4 - 1) == 3120
 
-    def test_budget_below_prediction(self):
-        with pytest.raises(InconclusiveError):
-            verify_conjecture(3, 2, budget=100)
-
     def test_no_window_return(self, monkeypatch):
         monkeypatch.setattr(cycles, "first_window_return", lambda d, m, budget: (None, None))
         with pytest.raises(InconclusiveError, match="no window return within 480 steps") as info:
-            verify_conjecture(3, 2)
+            cycle_length_direct(9, 9, 2 * predicted_cycle(3, 2))
         assert info.value.steps == 480
+
+    @pytest.mark.parametrize("tail", [(0, 0, 0, 0, 0, 0, 0, 1), (2, 0, 0, 0, 0, 0, 0, 0)])
+    def test_nonzero_tail_is_refused(self, monkeypatch, tail):
+        # a window of ones that is not preceded by d - 1 zeros closes no cycle
+        monkeypatch.setattr(cycles, "first_window_return", lambda d, m, budget: (240, tail))
+        with pytest.raises(VerificationError, match="step 240 not preceded by 8 zeros"):
+            cycle_length_direct(9, 9, 480)
 
 
 class TestInducedShift:

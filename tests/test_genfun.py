@@ -39,11 +39,13 @@ def evaluate(coefficients: tuple[float, ...], z: complex) -> complex:
     return sum(c * z ** k for k, c in enumerate(coefficients))
 
 
-def scalar_sweep(n: int, max_iter: int) -> tuple[list[complex], float]:
+def scalar_sweep(n: int, max_iter: int, blown: list | None = None) -> tuple[list[complex], float]:
     """The root iteration one Python complex at a time: (sorted roots, last best residual).
 
     The oracle for ``find_roots``, which must return the same roots bit
     for bit, or raise with this residual when it is not below ROOT_TOL.
+    A given ``blown`` list gets the number of each sweep whose correction
+    was not finite and was replaced by the cap.
     """
     monic = [-c for c in reversed(series_denominator(n))]
 
@@ -56,7 +58,7 @@ def scalar_sweep(n: int, max_iter: int) -> tuple[list[complex], float]:
     seed = 0.4 + 0.9j
     roots = [seed ** (k + 1) for k in range(n)]
     best = float("inf")
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         moved = 0.0
         current = list(roots)
         for i in range(n):
@@ -72,6 +74,8 @@ def scalar_sweep(n: int, max_iter: int) -> tuple[list[complex], float]:
             cap = 1.0 + abs(z)
             if not step < float("inf"):
                 delta = complex(cap, 0.0)
+                if blown is not None:
+                    blown.append(sweep)
             elif step > cap:
                 delta *= cap / step
             roots[i] = z - delta
@@ -156,10 +160,18 @@ class TestBitIdentity:
         monkeypatch.setattr(genfun, "ROOT_MAX_ITER", max_iter)
         assert_matches_scalar_sweep(n, max_iter)
 
+    def test_capped_step_recovery_bit_for_bit(self):
+        # n = 187 converges only after non-finite corrections, which the cap replaces
+        blown = []
+        want, best = scalar_sweep(187, genfun.ROOT_MAX_ITER, blown)
+        assert blown and best < genfun.ROOT_TOL
+        assert hex_parts(find_roots(187)) == hex_parts(want)
+
     @pytest.mark.skipif(not os.environ.get("SWAPNET_LONG"),
-                        reason="set SWAPNET_LONG=1 for n = 65..160 and 200 (minutes of scalar sweeps)")
+                        reason="set SWAPNET_LONG=1 for n = 65..160, 200 and 241..295 (minutes of scalar sweeps)")
     def test_high_orders_bit_for_bit(self):
-        for n in [*range(65, 161), 200]:
+        # 241, 250, 284, 285 and 295 converge through the capped step too
+        for n in [*range(65, 161), 200, 241, 250, 284, 285, 295]:
             assert_matches_scalar_sweep(n)
 
     def test_working_memory_is_linear_in_n(self, monkeypatch):

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import pickle
 import tracemalloc
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from swapnet import network
 from swapnet.errors import InconclusiveError, SizeBudgetError, SwapnetError
+from swapnet.factor import Factorization
 from swapnet.cycles import CycleReport, cycle_length, cycle_length_direct
 from swapnet.network import (
     GATE_LIMIT,
@@ -177,7 +179,7 @@ class TestLinearMap:
 
     def test_qutrit_cycle_shifts_by_one(self):
         m = linear_map(build_cyclic_network(3, 8))
-        assert m.permutation() == (1, 2, 0)  # system i ends holding digit i+1
+        assert m.permutation() == (2, 0, 1)  # digit j ends on system j - 1
 
     def test_d4_transposition_matrix(self):
         m = linear_map(build_cyclic_network(4, 30))
@@ -712,12 +714,11 @@ class TestVerifySwap:
         verdict = verify_swap(d)
         assert verdict.gate_count <= 10 ** 7
         row_map = trace_array(d, verdict.gate_count).linear_map()
-        sigma = row_map.permutation()
-        assert sigma is not None
-        assert verdict.permutation == tuple(sigma.index(i) for i in range(d))
+        assert row_map.permutation() == verdict.permutation
         assert verdict.shift == verdict.permutation[0]
         if verdict.gate_count <= 10 ** 5:
             gate_map = linear_map(build_cyclic_network(d, verdict.gate_count))
+            assert gate_map.permutation() == verdict.permutation
             assert np.array_equal(gate_map.matrix, row_map.matrix)
 
     def test_d125_builds_no_gates(self, monkeypatch):
@@ -751,6 +752,52 @@ class TestVerifySwap:
         report = cycle_length(3)
         circuit = build_cyclic_network(3, report.length // 2)
         assert linear_map(circuit).permutation() is None
+
+
+def schedule_map(d: int, gates: int) -> network.LinearMapZd:
+    """The map of ``gates`` cyclic gates as P A^(gates div d) over Z_d, building one round at most.
+
+    The schedule repeats every d gates: A is the map of one round and P
+    that of the first ``gates`` mod d gates.  A's powers come by repeated
+    squaring in float64, each product reduced mod d, which is exact while
+    d (d - 1)^2 < 2^53.
+    """
+    assert d * (d - 1) ** 2 < 2 ** 53
+    rounds, rest = divmod(gates, d)
+    power, out = (linear_map(build_cyclic_network(d, g)).matrix.astype(np.float64) for g in (d, rest))
+    while rounds:
+        if rounds & 1:
+            out = out @ power % d
+        rounds >>= 1
+        power = power @ power % d
+    return network.LinearMapZd(d, out.astype(np.int64))
+
+
+# every d <= 43, every prime power up to 125, then 243 and 343
+SCHEDULE_DIMS = [*range(2, 44), *(d for d in range(44, 126) if Factorization.of(d).is_prime_power),
+                 243, 343]
+
+
+class TestScheduleOracle:
+    """The verdict against the gate schedule's map, past where the gates can be built."""
+
+    @pytest.mark.parametrize("d", range(2, 12))
+    def test_equals_the_gate_map(self, d):
+        for gates in range(3 * d + 2):
+            want = linear_map(build_cyclic_network(d, gates)).matrix
+            assert np.array_equal(schedule_map(d, gates).matrix, want), gates
+
+    @pytest.mark.parametrize("d", SCHEDULE_DIMS)
+    def test_permutation_is_the_verdict(self, d):
+        report = cycle_length(d)
+        assert schedule_map(d, report.length).permutation() == report.permutation
+
+    @pytest.mark.skipif(not os.environ.get("SWAPNET_LONG"),
+                        reason="set SWAPNET_LONG=1 for d = 625, 729 and 997 (about 5 s)")
+    @pytest.mark.parametrize("d", [625, 729, 997])
+    def test_permutation_is_the_verdict_long(self, d):
+        report = cycle_length(d)
+        assert schedule_map(d, report.length).permutation() == report.permutation
 
 
 class TestSerialization:

@@ -175,7 +175,8 @@ class TestFFTProduct:
         assert proc.stdout.startswith("FFT error bound ")
         assert proc.stdout.endswith(" >= 1/2 at d=256, q=1048575, 1 limbs\n")
 
-    @pytest.mark.parametrize("size", [2 ** 4, 2 ** 10, 2 ** 16])
+    # up to 2^21, the longest transform a certificate below RING_LIMIT uses
+    @pytest.mark.parametrize("size", [2 ** 4, 2 ** 10, 2 ** 16, 2 ** 18, 2 ** 21])
     def test_twiddles_are_within_the_stated_error(self, size):
         mpmath = pytest.importorskip("mpmath")
         impulse = np.zeros(size)
