@@ -287,7 +287,7 @@ def _check_diagonal_periods():
                 while p ** (e + 1) <= k:
                     e += 1
                 predicted = p ** (a + e)
-                _require(seqcore.lu_tsai_period(p, a, k, 3 * predicted) == predicted)
+                _require(seqcore.lu_tsai_period(p, a, k) == predicted)
 
 
 def _check_qutrit_swap():

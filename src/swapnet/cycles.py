@@ -6,10 +6,11 @@ powers p^e | d combine by LCM.  Each takes two steps of one routine,
 ``order_from_multiple``, which strips every prime r of a known multiple n of
 the order while x^(n/r) = 1.  Mod p, f is squarefree (f' = x^(d-2),
 f(0) = -1), so R_p is a product of fields F_(p^k) and the order ord_p
-divides lcm(p^k - 1) over the degrees k of f's factors (``degree_multiple``);
-for d = p^m the reciprocal y^(p^m) + y - 1 of f gives y^(p^(2m)) = y, so
-x^(p^(2m)-1) = 1.  The kernel 1 + pR of R_(p^e) -> R_p has exponent p^(e-1),
-so the order mod p^e is ord_p * p^j with j < e (the form Wall proved for
+divides n = lcm(p^k - 1) over one list of degrees k: those of f's factors,
+from the distinct-degree factorisation, or [2m] for d = p^m, where the
+reciprocal y^(p^m) + y - 1 of f gives y^(p^(2m)) = y, so x^(p^(2m)-1) = 1.
+The kernel 1 + pR of R_(p^e) -> R_p has exponent p^(e-1), so the order
+mod p^e is ord_p * p^j with j < e (the form Wall proved for
 Fibonacci, 1960), and stripping p alone from ord_p * p^(e-1) finds it.  For
 d = p^m the period is checked against N = p^(m-1) * (p^(2m) - 1), proven for
 prime d.  A multiple not factored into proven primes is inconclusive, naming
@@ -159,51 +160,37 @@ class ScanFailure:
         return {"d": self.d, "inconclusive": True, "budget": self.budget, "reason": self.reason}
 
 
-def order_from_multiple(d: int, q: int, n: int, primes: list[int]) -> int | None:
+def order_from_multiple(d: int, q: int, n: int, primes: list[int]) -> int:
     """Order of x in Z_q[x]/(x^d - x^(d-1) - 1), given a multiple n of it and the primes of n.
 
-    None when x^n != 1, so n is no multiple; otherwise each prime r is
-    removed from n while x^(n/r) = 1.
+    VerificationError when x^n != 1, so n is no multiple; otherwise each
+    prime r is removed from n while x^(n/r) = 1.
     """
     if not ring.is_one(ring.x_power(n, d, q)):
-        return None
+        raise VerificationError(f"x^{n} != 1 mod {q} (order {d}): not a multiple of the order")
     for r in primes:
         while n % r == 0 and ring.is_one(ring.x_power(n // r, d, q)):
             n //= r
     return n
 
 
-def degree_multiple(d: int, p: int) -> tuple[int, list[int]]:
-    """A multiple of the order of x mod p, for a prime p | d, and its primes.
-
-    f = x^d - x^(d-1) - 1 is squarefree mod p, so R_p is a product of
-    fields F_(p^k), one per irreducible factor of degree k, and the order
-    mod p divides lcm(p^k - 1).  Each p^k - 1 is factored on its own.
-    """
-    _check_prime(p)
-    degrees = ring.distinct_degree(d, p)  # every p^k - 1 > 1: f(1) = -1, so x - 1 never divides f
-    primes = {r for k in degrees for r, _ in Factorization.of(p ** k - 1).factors}
-    return math.lcm(*(p ** k - 1 for k in degrees)), sorted(primes)
-
-
 def ring_order(d: int, p: int, e: int) -> int:
     """Order of x in Z_(p^e)[x]/(x^d - x^(d-1) - 1), for a prime p | d.
 
-    The order mod p from p^(2e) - 1 if d = p^e, else ``degree_multiple``
-    (FactoringError on an unproven cofactor), then lifted mod p^e.
+    The order mod p from n = lcm(p^k - 1) over a list of degrees k: [2e]
+    if d = p^e, else those of ``ring.distinct_degree`` (each p^k - 1 is
+    factored on its own, FactoringError on an unproven cofactor), then
+    lifted mod p^e.
     """
     _check_prime(p)
-    if d == p ** e:
-        n = p ** (2 * e) - 1
-        primes = [r for r, _ in Factorization.of(n).factors]
-    else:
-        n, primes = degree_multiple(d, p)
+    # every p^k - 1 > 1: f(1) = -1, so x - 1 never divides f
+    degrees = [2 * e] if d == p ** e else list(ring.distinct_degree(d, p))
+    n = math.lcm(*(p ** k - 1 for k in degrees))
+    primes = sorted({r for k in degrees for r, _ in Factorization.of(p ** k - 1).factors})
     q, order = p, order_from_multiple(d, p, n, primes)
-    if order is not None and e > 1:  # the lift
+    if e > 1:  # the lift
         q, n = p ** e, order * p ** (e - 1)
         order = order_from_multiple(d, q, n, [p])
-    if order is None:
-        raise VerificationError(f"x^{n} != 1 mod {q} (order {d}): not a multiple of the order")
     log.debug("d=%d, mod %d: order %d of x, from the multiple %d", d, q, order, n)
     return order
 

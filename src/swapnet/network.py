@@ -73,6 +73,15 @@ class Circuit:
                 and np.array_equal(self.gates, other.gates))
 
 
+def _check_digits(digits) -> list:
+    """The digits as a list, each a Python or numpy integer; a float, str or bool raises ValueError."""
+    digits = list(digits)
+    for v in digits:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"digit {v!r} is not an integer")
+    return digits
+
+
 def _check_gate_count(count: int) -> None:
     if count > GATE_LIMIT:
         raise SizeBudgetError(f"{count} gates exceed the {GATE_LIMIT} gate limit")
@@ -97,7 +106,7 @@ class LinearMapZd:
     matrix: np.ndarray
 
     def apply(self, exponents) -> tuple[int, ...]:
-        vec = np.array([int(v) for v in exponents], dtype=object)  # Python ints: exact at any d
+        vec = np.array([int(v) for v in _check_digits(exponents)], dtype=object)  # Python ints: exact at any d
         return tuple((self.matrix.astype(object) @ vec) % self.d)
 
     def permutation(self) -> tuple[int, ...] | None:
@@ -186,6 +195,7 @@ class TraceArray:
         e = np.array(tuple(exponents) if exponents is not None else (1,) * self.d, dtype=object)
         if e.shape != (self.d,):
             raise ValueError(f"need {self.d} digits, got shape {e.shape}")
+        _check_digits(e)
         digits = (e % self.d).astype(np.int64)
         return (np.convolve(self.row0.astype(np.int64), digits, "valid") % self.d).tolist()
 
@@ -250,7 +260,7 @@ class StateVector:
         _check_size(d, n)
         if isinstance(digits, str):
             digits = [int(ch) for ch in digits]
-        digits = list(digits)
+        digits = _check_digits(digits)
         if len(digits) != n or any(not 0 <= x < d for x in digits):
             raise ValueError(f"need {n} digits in [0, {d})")
         amps = np.zeros(d ** n, dtype=np.complex128)

@@ -246,13 +246,13 @@ def prime_binomial_residue(p: int, j: int) -> int:
     return res
 
 
-def lu_tsai_period(p: int, a: int, k: int, search_horizon: int) -> int:
+def lu_tsai_period(p: int, a: int, k: int) -> int:
     """Empirical period of j -> C(j, k) mod p^a for j >= k.
 
     Detects the smallest shift under which the sampled stretch is
     invariant and checks it against p^(a+e) with e = floor(log_p k).
-    Needs ``search_horizon`` of at least three predicted periods so the
-    detected value is forced to be the true one.
+    Samples three predicted periods, so the detected value is forced to
+    be the true one.
     """
     _check_prime(p)
     if a < 1 or k < 1:
@@ -261,12 +261,7 @@ def lu_tsai_period(p: int, a: int, k: int, search_horizon: int) -> int:
     while p ** (e + 1) <= k:
         e += 1
     predicted = p ** (a + e)
-    if search_horizon < 3 * predicted:
-        raise InconclusiveError(
-            f"search_horizon {search_horizon} < 3 * p^(a+e) = {3 * predicted}",
-            steps=0,
-        )
-    vals = [row[k] for row in _pascal_rows(p ** a, k, k + search_horizon) if len(row) > k]
+    vals = [row[k] for row in _pascal_rows(p ** a, k, k + 3 * predicted) if len(row) > k]
     limit = len(vals) // 2
     for period in range(1, limit + 1):
         if vals[period:] == vals[:-period]:

@@ -434,9 +434,11 @@ class TestRingCertificate:
 
         assert order(n, n) == n
         assert order(2 * n, 2 * n) == n  # a multiple, stripped to the order
-        assert order(n + 1, n + 1) is None  # x^(N+1) = x
+        with pytest.raises(VerificationError, match=f"x\\^{n + 1} != 1 mod {d} "):
+            order(n + 1, n + 1)  # x^(N+1) = x
         for r, _ in Factorization.of(n).factors:
-            assert order(n // r, n) is None
+            with pytest.raises(VerificationError, match="not a multiple of the order"):
+                order(n // r, n)
 
     @pytest.mark.parametrize("d", [343, 729, 1024, 3125])
     def test_large_prime_powers_without_brute_force(self, monkeypatch, d):
@@ -460,16 +462,19 @@ class TestRingCertificate:
                 cycle_length(7)
 
     def test_non_multiple_raises_naming_it(self, monkeypatch):
-        # n + 1 is no multiple of the order mod p (x^(n+1) = x): the ring raises, naming it
+        # without the factor of highest degree mod p, the lcm is no multiple of the order:
+        # the ring raises, naming it
         monkeypatch.setattr(cycles, "first_window_return", _no_brute_force)
-        true_multiple = cycles.degree_multiple
+        true_split = ring.distinct_degree
 
-        def off_by_one(d, p):
-            n, primes = true_multiple(d, p)
-            return n + 1, primes
+        def drop_highest(d, p):
+            split = true_split(d, p)
+            del split[max(split)]
+            return split
 
-        monkeypatch.setattr(cycles, "degree_multiple", off_by_one)
-        for d, n in ((6, 64), (12, 3256)):  # 63 = 2^6 - 1; 3255 = lcm(2^3 - 1, 2^4 - 1, 2^5 - 1)
+        monkeypatch.setattr(ring, "distinct_degree", drop_highest)
+        # degrees mod 2: [6], so the empty lcm 1 (x^1 = x); [3, 7] -> 7; [3, 4, 5] -> lcm(7, 15)
+        for d, n in ((6, 1), (10, 7), (12, 105)):
             with pytest.raises(VerificationError, match=f"x\\^{n} != 1 mod 2 \\(order {d}\\)"):
                 cycle_length(d)
 
@@ -584,14 +589,26 @@ class TestRingOrder:
             pytest.skip(f"order mod {p} undecided: {exc}")
         self._assert_lift_matches_kronecker(d, p, e, got)
 
-    @pytest.mark.parametrize("d", [d for d in range(2, 65) if Factorization.of(d).is_prime_power])
-    def test_prime_powers_match_the_prediction(self, d):
+    @staticmethod
+    def _assert_ddf_route_predicts(d):
         # a second algebraic route to p^(m-1) * (p^(2m) - 1), besides its certificate:
         # the order mod p from the distinct-degree multiple, then the lift
         p, m = Factorization.of(d).factors[0]
-        n, primes = cycles.degree_multiple(d, p)
+        degrees = ring.distinct_degree(d, p)
+        n = math.lcm(*(p ** k - 1 for k in degrees))
+        primes = sorted({r for k in degrees for r, _ in Factorization.of(p ** k - 1).factors})
         order = cycles.order_from_multiple(d, p, n, primes)
         assert cycles.order_from_multiple(d, d, order * p ** (m - 1), [p]) == predicted_cycle(p, m)
+
+    @pytest.mark.parametrize("d", [d for d in range(2, 1025) if Factorization.of(d).is_prime_power])
+    def test_prime_powers_match_the_prediction(self, d):
+        self._assert_ddf_route_predicts(d)
+
+    @pytest.mark.skipif(not os.environ.get("SWAPNET_LONG"),
+                        reason="set SWAPNET_LONG=1 for 3^7, 5^5 and 2^12 (about 2 s)")
+    @pytest.mark.parametrize("d", [2187, 3125, 4096])
+    def test_prime_powers_match_the_prediction_long(self, d):
+        self._assert_ddf_route_predicts(d)
 
     def test_rejects_a_prime_not_dividing_d(self):
         with pytest.raises(ValueError):

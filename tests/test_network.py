@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -451,6 +452,29 @@ class TestStateVector:
         sv = StateVector.product(2, (f for f in factors))
         assert sv.n == 3
         assert abs(sv.norm() - 1.0) < 1e-12
+
+
+# every entry point that reads digits: int() would truncate 1.7, astype(int64) 1.5,
+# a float index would raise numpy's bare IndexError, and True would read as 1
+DIGIT_READERS = {
+    "apply": lambda digits: linear_map(Circuit(3, 3, [[0, 1]])).apply(digits),
+    "header": lambda digits: trace_array(3, 10).header(digits),
+    "basis": lambda digits: int(StateVector.basis(3, 3, digits).amplitudes.argmax()),
+}
+
+
+@pytest.mark.parametrize("read", DIGIT_READERS.values(), ids=DIGIT_READERS.keys())
+@pytest.mark.parametrize("bad", [1.7, 1.5, 1.0, np.float64(1.0), "1", True, np.bool_(True)],
+                         ids=["1.7", "1.5", "1.0", "np-float", "str", "bool", "np-bool"])
+def test_non_integer_digits_are_refused(read, bad):
+    with pytest.raises(ValueError, match=re.escape(f"digit {bad!r} is not an integer")):
+        read([bad, 0, 0])
+
+
+@pytest.mark.parametrize("read", DIGIT_READERS.values(), ids=DIGIT_READERS.keys())
+def test_numpy_integer_digits_are_accepted(read):
+    want = read([1, 0, 2])
+    assert read(np.array([1, 0, 2], dtype=np.uint8)) == read((np.int64(1), 0, np.int32(2))) == want
 
 
 class TestSimulate:
