@@ -35,9 +35,12 @@ for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]:
 # Brute force needs one step per gate: 6.1e9 for d = 3125 = 5^5, tens of
 # minutes.  The period is also the multiplicative order of x in
 # Z_d[x]/(x^d - x^(d-1) - 1), since the generating function is
-# 1/(1 - z - z^d).  cycle_length takes N as a multiple of that order and
-# strips each prime r of N while x^(N/r) = 1, by repeated squaring: x^N = 1
-# with no prime stripped certifies N.
+# 1/(1 - z - z^d).  cycle_length finds it mod p first: for d = p^m the
+# reciprocal y^(p^m) + y - 1 of the modulus gives x^(p^(2m) - 1) = 1, so
+# p^(2m) - 1 is a multiple of the order, and each of its primes r is
+# stripped while x^(n/r) = 1, by repeated squaring.  Only the lift runs mod
+# p^m: from ord_p * p^(m-1) it strips p alone.  N is not used to find the
+# period; the certified period is only compared with it (conjecture_ok).
 start = time.perf_counter()
 big = cycle_length(3125)
 elapsed = time.perf_counter() - start

@@ -100,7 +100,7 @@ def cmd_cycle(args) -> int:
 
 def cmd_scan(args) -> int:
     from . import cycles
-    entries = cycles.scan(args.max, args.budget, jobs=args.jobs)
+    entries = cycles.scan(args.max, args.budget)
     if args.json:
         _emit_json([e.to_dict() for e in entries])
     elif args.csv:
@@ -167,7 +167,7 @@ def _parse_state(spec: str, d: int, n: int) -> network.StateVector:
             elif rest:
                 raise SwapnetError(f"bad state spec {spec!r}: expected 'random --seed K'")
             return network.StateVector.random(d, n, seed)
-        if len(tokens) == 1 and tokens[0].isdigit():
+        if len(tokens) == 1 and tokens[0].isascii() and tokens[0].isdigit():
             return network.StateVector.basis(d, n, tokens[0])
     # a bad seed or digits that do not fit the circuit: a state fault, not a usage error
     except ValueError as exc:
@@ -192,10 +192,12 @@ def cmd_simulate(args) -> int:
             "amplitudes": [[z.real, z.imag] for z in out.amplitudes],
         })
     else:
-        for index, amp in enumerate(out.amplitudes):
-            if abs(amp) > 1e-12:
-                digits = "".join(str(x) for x in network.digits_of_index(out.d, out.n, index))
-                print(f"{digits} {_fmt(amp.real)} {_fmt(amp.imag)}")
+        import numpy as np
+        kept = np.flatnonzero(np.abs(out.amplitudes) > 1e-12)
+        labels = zip(*(x.tolist() for x in np.unravel_index(kept, (out.d,) * out.n)))
+        sep = "," if out.d > 10 else ""  # a digit past 9 needs a separator
+        for digits, amp in zip(labels, out.amplitudes[kept].tolist()):
+            print(f"{sep.join(map(str, digits))} {_fmt(amp.real)} {_fmt(amp.imag)}")
     return 0
 
 
@@ -230,7 +232,7 @@ def cmd_closed_form(args) -> int:
 def cmd_export(args) -> int:
     from . import network
     circuit = network.build_cyclic_network(args.d, args.gates)
-    print(network.export_circuit(circuit, "json" if args.json else args.format))
+    print(network.export_circuit(circuit, "json" if args.json else "gatelist"))
     return 0
 
 
@@ -409,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("scan", cmd_scan, help="cycle reports for all dimensions up to a bound")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="cap on each factor's period")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--csv", action="store_true", help="two-column CSV output")
 
     p = add("swap", cmd_swap, help="classify what one full network cycle does")
@@ -432,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("export", cmd_export, help="serialize a cyclic network")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--gates", type=int, required=True)
-    p.add_argument("--format", choices=("json", "gatelist"), default="gatelist",
-                   help="--json is the same as --format json")
 
     add("check", cmd_check, help="run the built-in invariant suite")
     return parser

@@ -235,33 +235,22 @@ def cycle_length(d: int, budget: int | None = None) -> CycleReport:
                        None if m == 1 else ok)
 
 
-def scan(max_n: int, budget: int | None = None, jobs: int = 1) -> list[CycleReport | ScanFailure]:
+def scan(max_n: int, budget: int | None = None) -> list[CycleReport | ScanFailure]:
     """Reports for every dimension 2..max_n, in dimension order.
 
     Budget exhaustion for one dimension yields a ScanFailure entry and
-    never aborts the rest.  ``jobs`` > 1 distributes dimensions across
-    worker processes, at most one per dimension and per CPU; each
-    dimension is computed sequentially.  max_n above RING_LIMIT is
-    refused before any dimension runs.
+    never aborts the rest.  max_n above RING_LIMIT is refused before any
+    dimension runs.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if max_n > RING_LIMIT:
         raise SizeBudgetError(f"dimensions up to {max_n} exceed the {RING_LIMIT} ring limit")
-    dims = list(range(2, max_n + 1))
-    workers = min(jobs, len(dims), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_scan_one, dims, [budget] * len(dims)))
-    return [_scan_one(n, budget) for n in dims]
-
-
-def _scan_one(n: int, budget: int | None) -> CycleReport | ScanFailure:
-    try:
-        return cycle_length(n, budget)
-    except InconclusiveError as exc:
-        return ScanFailure(n, exc.steps, str(exc))
+    entries = []
+    for n in range(2, max_n + 1):
+        try:
+            entries.append(cycle_length(n, budget))
+        except InconclusiveError as exc:
+            entries.append(ScanFailure(n, exc.steps, str(exc)))
+    return entries
 
 
 def scan_csv(entries: list[CycleReport | ScanFailure]) -> str:

@@ -378,6 +378,13 @@ def export_circuit(circuit: Circuit, format: str = "gatelist") -> str:
     return "\n".join([f"DIM {circuit.d} SYSTEMS {circuit.n_systems}", *(f"CNOT {c} {t}" for c, t in pairs)])
 
 
+def _number(word: str) -> int:
+    """A gatelist number: ASCII digits as export_circuit writes; int() also takes signs, _ and other scripts."""
+    if not (word.isascii() and word.isdigit()):
+        raise ValueError(f"number {word!r} is not a run of ASCII digits")
+    return int(word)
+
+
 def parse_circuit(text: str) -> Circuit:
     """Read back export_circuit's text; any fault, or a size past its limit, raises SwapnetError."""
     if len(text) > CIRCUIT_CHAR_LIMIT:
@@ -405,13 +412,13 @@ def parse_circuit(text: str) -> Circuit:
         # from above, and only a bound past the limit needs the exact count
         if sum(map(text.count, _LINE_BREAKS)) > GATE_LIMIT:
             _check_gate_count(sum(1 for _ in lines))
-        d, n = int(head[1]), int(head[3])
+        d, n = _number(head[1]), _number(head[3])
         gates = []
         for ln in [ln for ln in text.splitlines() if ln.strip()][1:]:
             parts = ln.split()
             if len(parts) != 3 or parts[0] != "CNOT":
                 raise SwapnetError(f"malformed gate line: {ln!r}")
-            gates.append((int(parts[1]), int(parts[2])))
+            gates.append((_number(parts[1]), _number(parts[2])))
         return Circuit(d, n, gates)
     # bad integers, what Circuit refuses, and JSON nested past the recursion limit
     except (ValueError, RecursionError) as exc:

@@ -169,7 +169,8 @@ def term_mod(j: int, d: int, m: int) -> int:
 
     The d initial terms are all ones, so term j is the sum of the
     coefficients of x^j in Z_m[x]/(x^d - x^(d-1) - 1), which costs
-    O(d^2 log j).  ``seq_stream`` walks the recurrence instead.
+    O(d^2 log j), or O(d log d log j) where ``ring.square`` takes the FFT
+    (d >= ring.FFT_MIN_D per limb).  ``seq_stream`` walks the recurrence instead.
     """
     _check_order(d)
     _check_modulus(m)

@@ -154,17 +154,6 @@ class TestScan:
         assert code == 0
         assert out == "d,length\n2,3\n3,8\n4,30\n"
 
-    def test_jobs_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "scan", "--max", "6", "--jobs", "3", "--json")
-        assert code == 0
-        assert [e["length"] for e in json.loads(out)] == [3, 8, 30, 24, 6552]
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exit_2(self, capsys, jobs):
-        code, out, err = run_cli(capsys, "scan", "--max", "4", "--jobs", jobs)
-        assert code == 2 and out == ""
-        assert "usage error" in err and "jobs" in err
-
     def test_every_d_up_to_33_decided(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--max", "33", "--csv")
         assert code == 0
@@ -298,6 +287,23 @@ class TestSimulate:
         assert code == 0
         assert out.strip() == "201 1 0"  # |abc> ends as |bca>
 
+    @pytest.mark.parametrize("d, sep", [(10, ""), (12, ",")])
+    def test_labels_name_one_basis_state_each(self, capsys, tmp_path, d, sep):
+        # at d = 12, digits joined with no separator would print 110 for both (1, 10) and (11, 0)
+        circuit = Circuit(d, 2, [[0, 1]])
+        path = tmp_path / "circuit.txt"
+        path.write_text(export_circuit(circuit))
+        code, out, _ = run_cli(capsys, "simulate", "--circuit", str(path), "--state", "random --seed 1")
+        want = network.simulate(circuit, network.StateVector.random(d, 2, 1)).amplitudes
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == d * d
+        labels = [line.split()[0] for line in lines]
+        assert len(set(labels)) == d * d
+        for line, label in zip(lines, labels):
+            digits = [int(x) for x in (label.split(sep) if sep else label)]
+            amp = want[network.index_of_digits(d, digits)]
+            assert line == f"{label} {cli._fmt(amp.real)} {cli._fmt(amp.imag)}"
+
     def test_random_state_is_reproducible(self, capsys, tmp_path):
         path = tmp_path / "circuit.json"
         path.write_text(export_circuit(build_cyclic_network(2, 3), "json"))
@@ -314,7 +320,7 @@ class TestSimulate:
         path = tmp_path / "c.txt"
         path.write_text(export_circuit(build_cyclic_network(2, 1)))  # two qubits
         for spec in ("xyz", "9 9", "random --seed", "random --seed x", "random --seed -1",
-                     "012", "02"):
+                     "012", "02", "\u0661\u0660"):
             code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", spec)
             assert code == 1 and out == "", spec
             assert err.startswith(f"error: bad state spec {spec!r}: ")
@@ -341,6 +347,9 @@ class TestSimulate:
         '{"d":1,"systems":3,"gates":[]}',
         '{"d":3,"systems":3,"gates":[[0,0]]}',
         b"\xff\xfeDIM 3 SYSTEMS 3",  # not ASCII
+        "DIM 1_1 SYSTEMS 3",
+        "DIM 3 SYSTEMS 12\nCNOT 1_0 2",
+        "DIM 3 SYSTEMS 3\nCNOT -0 +2",
     ])
     def test_numeric_circuit_faults_exit_1(self, capsys, tmp_path, text):
         path = tmp_path / "c.txt"
@@ -463,10 +472,13 @@ class TestExport:
         assert out == "DIM 2 SYSTEMS 2\nCNOT 0 1\nCNOT 1 0\nCNOT 0 1\n"
 
     def test_json_format(self, capsys):
-        # --json prints the bytes of --format json, whatever --format says
-        for flags in (["--format", "json"], ["--json"], ["--json", "--format", "gatelist"]):
-            code, out, _ = run_cli(capsys, "export", "--d", "3", "--gates", "2", *flags)
-            assert code == 0 and out == '{"d":3,"systems":3,"gates":[[0,1],[1,2]]}\n', flags
+        code, out, _ = run_cli(capsys, "export", "--d", "3", "--gates", "2", "--json")
+        assert code == 0 and out == '{"d":3,"systems":3,"gates":[[0,1],[1,2]]}\n'
+
+    def test_format_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--d", "3", "--gates", "2", "--format", "json"])
+        assert exc.value.code == 2 and "--format" in capsys.readouterr().err
 
     def test_dimension_past_int64(self, capsys):
         d = 10 ** 30
@@ -629,8 +641,7 @@ FUZZ_ARGS = {  # verb: [(flag, values, required)]
     "seq": [("--d", WIDE, True), ("--count", SMALL | st.sampled_from([2 ** 62, 10 ** 30]), True),
             ("--mod", WIDE, False)],
     "cycle": [("--d", WIDE, True), ("--budget", WIDE, False)],
-    "scan": [("--max", WIDE, True), ("--budget", WIDE, False),
-             ("--jobs", st.integers(-3, 1), False)],
+    "scan": [("--max", WIDE, True), ("--budget", WIDE, False)],
     "swap": [("--d", WIDE, True), ("--budget", WIDE, False)],
     # RING_LIMIT + 1 steps would fit TRACE_LIMIT for small d: valid, but slow to print
     "trace": [("--d", WIDE, True), ("--steps", SMALL | st.sampled_from([2 ** 62, 10 ** 30]), True)],
@@ -662,7 +673,7 @@ class TestFuzz:
     Valid values that would only run long are left out: ``seq --count``
     between a few hundred and ``SEQ_LIMIT``, ``closed-form --n`` in the
     hundreds (its root finder is pure Python), ``trace`` near
-    ``TRACE_LIMIT``, and ``scan --jobs`` above 1.  ``check`` and
+    ``TRACE_LIMIT``.  ``check`` and
     ``simulate`` take no integer argument; ``simulate``'s circuit text is
     the second property.
     """

@@ -1,5 +1,4 @@
 """Tests for period detection, composition, and induced shifts."""
-import concurrent.futures
 import dataclasses
 import json
 import logging
@@ -317,42 +316,6 @@ class TestScan:
         assert last.d == 10
         assert last.per_factor == ((2, 889), (5, 1953124))
         assert last.length == math.lcm(889, 1953124)
-
-    def test_parallel_matches_serial(self):
-        assert scan(8, jobs=4) == scan(8)
-
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_rejects_jobs_below_one(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
-            scan(4, jobs=jobs)
-
-    @pytest.mark.parametrize("max_n,jobs,cpus,workers", [
-        (9, 10 ** 6, 4, 4),     # capped by the CPU count
-        (9, 3, 4, 3),           # the requested number fits
-        (3, 10 ** 6, 4, 2),     # capped by the two dimensions 2 and 3
-        (9, 10 ** 6, None, 0),  # unknown CPU count: serial, no pool
-    ])
-    def test_worker_count_is_clamped(self, monkeypatch, max_n, jobs, cpus, workers):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cycles.os, "cpu_count", lambda: cpus)
-        entries = scan(max_n, jobs=jobs)
-        assert started == ([workers] if workers else [])
-        assert [e.d for e in entries] == list(range(2, max_n + 1))
 
     def test_inconclusive_marker(self):
         entries = scan(7, budget=10)

@@ -110,6 +110,12 @@ def test_light_modules_load_neither_numpy_nor_a_process_pool():
         assert not {"numpy", "concurrent"} & other, (root, sorted(reached))
 
 
+def test_no_module_imports_concurrent_or_multiprocessing():
+    # at any depth, function bodies included: scan runs every dimension in this process
+    for name, tree in TREES.items():
+        assert not {"concurrent", "multiprocessing"} & _imports(tree)[1], name
+
+
 def test_no_assert_in_the_package():
     # python -O strips assert statements; every check in the package must raise instead
     asserts = [(name, node.lineno) for name, tree in TREES.items()

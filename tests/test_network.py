@@ -872,6 +872,12 @@ class TestSerialization:
         "DIM 3 SYSTEMS 3\nCNOT 0 7",
         '{"d":1,"systems":3,"gates":[]}',
         '{"d":3,"systems":3,"gates":[[0,0]]}',
+        # int() reads each of these, which export_circuit never writes
+        "DIM 1_1 SYSTEMS 3",
+        "DIM 3 SYSTEMS 12\nCNOT 1_0 2",
+        "DIM 3 SYSTEMS 3\nCNOT -0 +2",
+        "DIM 3 SYSTEMS 3\nCNOT +1 2",
+        "DIM 3 SYSTEMS 3\nCNOT \u0661 2",
     ])
     def test_parse_numeric_faults_are_circuit_errors(self, text):
         with pytest.raises(SwapnetError) as err:
