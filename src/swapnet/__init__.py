@@ -25,8 +25,8 @@ _EXPORTS = {
     ),
     "factor": ("Factorization",),
     "genfun": (
-        "ClosedForm", "closed_form", "compare_closed_vs_exact", "distinct_roots_check",
-        "eval_closed", "find_roots", "max_deviation", "series_denominator",
+        "ClosedForm", "closed_form", "compare_closed_vs_exact", "eval_closed", "find_roots",
+        "max_deviation", "series_denominator",
     ),
     "network": (
         "Circuit", "LinearMapZd", "StateVector", "TraceArray", "build_cyclic_network",
@@ -34,9 +34,9 @@ _EXPORTS = {
         "permutation_matrix_text", "random_qudit", "simulate", "trace_array", "verify_swap",
     ),
     "seqcore": (
-        "PascalTable", "binom_exact", "binom_mod", "exact_sequence", "first_window_return",
-        "hockey_stick_check", "lu_tsai_period", "prime_binomial_residue", "seq_stream",
-        "term_exact", "term_exact_range", "term_mod",
+        "binom_exact", "binom_mod", "exact_sequence", "first_window_return", "hockey_stick_check",
+        "lu_tsai_period", "prime_binomial_residue", "seq_stream", "term_exact", "term_exact_range",
+        "term_mod",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -13,6 +13,7 @@ import sys
 
 from . import seqcore
 from .errors import InconclusiveError, SizeBudgetError, SwapnetError, VerificationError
+from .seqcore import _ascii_int
 
 
 def _fmt(x: float) -> str:
@@ -163,13 +164,13 @@ def _parse_state(spec: str, d: int, n: int) -> network.StateVector:
             seed = 0
             rest = tokens[1:]
             if rest[:1] == ["--seed"] and len(rest) == 2:
-                seed = int(rest[1])
+                seed = _ascii_int(rest[1])
             elif rest:
                 raise SwapnetError(f"bad state spec {spec!r}: expected 'random --seed K'")
             return network.StateVector.random(d, n, seed)
-        if len(tokens) == 1 and tokens[0].isascii() and tokens[0].isdigit():
+        if len(tokens) == 1:
             return network.StateVector.basis(d, n, tokens[0])
-    # a bad seed or digits that do not fit the circuit: a state fault, not a usage error
+    # a bad seed or digit string, or digits that do not fit the circuit: a state fault, not a usage error
     except ValueError as exc:
         raise SwapnetError(f"bad state spec {spec!r}: {exc}") from exc
     raise SwapnetError(f"bad state spec {spec!r}: digit string or 'random --seed K'")
@@ -271,10 +272,8 @@ def _check_route_agreement():
 
 
 def _check_pascal_rule():
-    table = seqcore.PascalTable(6, 40)
-    for n in range(41):
-        for k in range(n + 1):
-            _require(table.binom(n, k) == seqcore.binom_exact(n, k) % 6)
+    for n, row in enumerate(seqcore._pascal_rows(6, 40, 40)):
+        _require(row == [seqcore.binom_exact(n, k) % 6 for k in range(n + 1)], n)
 
 
 def _check_hockey_stick():
@@ -311,14 +310,15 @@ def _check_qutrit_swap():
 
 
 def _check_basis_agreement():
+    import numpy as np
+
     from . import network
     for d in (2, 3, 4):
         circuit = network.build_cyclic_network(d, 2 * d + 1)
         mapping = network.linear_map(circuit)
-        for index in range(d ** d):
-            digits = network.digits_of_index(d, d, index)
+        for digits in np.ndindex((d,) * d):
             out = network.simulate(circuit, network.StateVector.basis(d, d, digits))
-            _require(out.amplitudes[network.index_of_digits(d, mapping.apply(digits))] == 1.0)
+            _require(out.amplitudes[np.ravel_multi_index(mapping.apply(digits), (d,) * d)] == 1.0)
 
 
 def _check_shift_consistency():
@@ -400,39 +400,39 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("seq", cmd_seq, help="print sequence terms")
-    p.add_argument("--d", type=int, required=True, help="sequence order / dimension")
-    p.add_argument("--count", type=int, required=True, help="number of terms")
-    p.add_argument("--mod", type=int, default=None, help="reduce terms mod M")
+    p.add_argument("--d", type=_ascii_int, required=True, help="sequence order / dimension")
+    p.add_argument("--count", type=_ascii_int, required=True, help="number of terms")
+    p.add_argument("--mod", type=_ascii_int, default=None, help="reduce terms mod M")
 
     p = add("cycle", cmd_cycle, help="cycle length report for one dimension")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="cap on each factor's period")
+    p.add_argument("--d", type=_ascii_int, required=True)
+    p.add_argument("--budget", type=_ascii_int, default=None, help="cap on each factor's period")
 
     p = add("scan", cmd_scan, help="cycle reports for all dimensions up to a bound")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="cap on each factor's period")
+    p.add_argument("--max", type=_ascii_int, required=True)
+    p.add_argument("--budget", type=_ascii_int, default=None, help="cap on each factor's period")
     p.add_argument("--csv", action="store_true", help="two-column CSV output")
 
     p = add("swap", cmd_swap, help="classify what one full network cycle does")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="cap on each factor's period")
+    p.add_argument("--d", type=_ascii_int, required=True)
+    p.add_argument("--budget", type=_ascii_int, default=None, help="cap on each factor's period")
 
     p = add("trace", cmd_trace, help="coefficient array of the network over time")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True, help="last time column T")
+    p.add_argument("--d", type=_ascii_int, required=True)
+    p.add_argument("--steps", type=_ascii_int, required=True, help="last time column T")
 
     p = add("simulate", cmd_simulate, help="run a circuit file on a state")
     p.add_argument("--circuit", required=True, help="circuit file (json or gatelist)")
     p.add_argument("--state", required=True, help="digit string or 'random --seed K'")
 
     p = add("closed-form", cmd_closed_form, help="roots/weights table and exact comparison")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=26)
+    p.add_argument("--n", type=_ascii_int, required=True)
+    p.add_argument("--count", type=_ascii_int, default=26)
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = add("export", cmd_export, help="serialize a cyclic network")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--gates", type=int, required=True)
+    p.add_argument("--d", type=_ascii_int, required=True)
+    p.add_argument("--gates", type=_ascii_int, required=True)
 
     add("check", cmd_check, help="run the built-in invariant suite")
     return parser

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import ring
 from .errors import FactoringError, InconclusiveError, SizeBudgetError, VerificationError
 from .factor import Factorization, _check_prime
-from .seqcore import _check_order, first_window_return
+from .seqcore import _ascii_int, _check_int, _check_order, first_window_return
 
 log = logging.getLogger(__name__)
 
@@ -43,8 +43,7 @@ def predicted_cycle(p: int, m: int) -> int:
     ``cycle_length`` and ``cycle_length_direct`` check instance by instance.
     """
     _check_prime(p)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_int("m", m, 1)
     return p ** (m - 1) * (p ** (2 * m) - 1)
 
 
@@ -57,7 +56,7 @@ def env_budget() -> int | None:
     if not env:
         return None
     try:
-        value = int(env)
+        value = _ascii_int(env)
     except ValueError:
         value = 0
     if value < 1:
@@ -209,8 +208,8 @@ def cycle_length(d: int, budget: int | None = None) -> CycleReport:
     if d > RING_LIMIT:
         raise SizeBudgetError(f"order {d} exceeds the {RING_LIMIT} ring limit")
     f = Factorization.of(d)
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be >= 1")
+    if budget is not None:
+        _check_int("budget", budget, 1)
     cap = budget if budget is not None else env_budget()
     per_factor = []
     for p, e in f.factors:
@@ -242,6 +241,7 @@ def scan(max_n: int, budget: int | None = None) -> list[CycleReport | ScanFailur
     never aborts the rest.  max_n above RING_LIMIT is refused before any
     dimension runs.
     """
+    _check_int("max_n", max_n)
     if max_n > RING_LIMIT:
         raise SizeBudgetError(f"dimensions up to {max_n} exceed the {RING_LIMIT} ring limit")
     entries = []

@@ -7,9 +7,12 @@ alpha_1..alpha_n, the terms evaluate as
     term(j) = sum_l beta_l * alpha_l^j,
     beta_l  = -alpha_l / B'(1/alpha_l),   B(z) = 1 - z - z^n.
 
-The denominator has distinct roots (checked numerically here, and the
-single analytic candidate for a repeated root is re-excluded), so the
-expansion needs no polynomial-in-j correction terms.
+The denominator has distinct roots, so the expansion needs no
+polynomial-in-j correction terms.  A repeated root needs B'(z) =
+-1 - n z^(n-1) = 0, so z^(n-1) = -1/n; then B(z) = 1 - z(1 + z^(n-1)) = 0
+gives z = n/(n-1), which is positive and real, so its power cannot be
+-1/n.  ``closed_form`` still refuses two computed roots that coincide,
+which only a failed solve can produce.
 """
 from __future__ import annotations
 
@@ -208,17 +211,6 @@ def eval_closed(cf: ClosedForm, j: int) -> tuple[float, int]:
             f"imaginary residue {total.imag:.3e} at j={j}", residual=abs(total.imag)
         )
     return total.real, round(total.real)
-
-
-def distinct_roots_check(n: int) -> bool:
-    """True iff the denominator's roots are numerically distinct.
-
-    Also re-runs the analytic exclusion: the only candidate for a
-    repeated root is n/(n-1), and it must fail to be a root of B'.
-    """
-    roots = find_roots(n)
-    distinct = all(abs(a - b) > DISTINCT_TOL for i, a in enumerate(roots) for b in roots[i + 1:])
-    return distinct and abs(denominator_derivative(n, n / (n - 1))) > DISTINCT_TOL
 
 
 def check_tol(tol: float) -> None:

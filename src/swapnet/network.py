@@ -25,7 +25,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import SizeBudgetError, SwapnetError
-from .seqcore import _check_modulus, _terms
+from .seqcore import _ascii_int, _check_modulus, _terms
 
 OPERATOR_SIZE_LIMIT = 10 ** 6
 TRACE_LIMIT = 10 ** 7
@@ -256,15 +256,17 @@ class StateVector:
 
     @classmethod
     def basis(cls, d: int, n: int, digits) -> "StateVector":
-        """Computational basis state from a digit sequence or string."""
+        """Computational basis state from a digit sequence, or a string of ASCII digits, one a system."""
         _check_size(d, n)
         if isinstance(digits, str):
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"digit string {digits!r} is not ASCII digits")
             digits = [int(ch) for ch in digits]
         digits = _check_digits(digits)
         if len(digits) != n or any(not 0 <= x < d for x in digits):
             raise ValueError(f"need {n} digits in [0, {d})")
         amps = np.zeros(d ** n, dtype=np.complex128)
-        amps[index_of_digits(d, digits)] = 1.0
+        amps[np.ravel_multi_index(digits, (d,) * n)] = 1.0
         return cls(d, n, amps)
 
     @classmethod
@@ -295,17 +297,6 @@ def random_qudit(d: int, rng) -> np.ndarray:
     """One random unit vector in C^d drawn from the given generator."""
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
-
-
-def index_of_digits(d: int, digits) -> int:
-    idx = 0
-    for x in digits:
-        idx = idx * d + x
-    return idx
-
-
-def digits_of_index(d: int, n: int, index: int) -> tuple[int, ...]:
-    return tuple(index // d ** (n - 1 - k) % d for k in range(n))
 
 
 def simulate(circuit: Circuit, state: StateVector) -> StateVector:
@@ -378,13 +369,6 @@ def export_circuit(circuit: Circuit, format: str = "gatelist") -> str:
     return "\n".join([f"DIM {circuit.d} SYSTEMS {circuit.n_systems}", *(f"CNOT {c} {t}" for c, t in pairs)])
 
 
-def _number(word: str) -> int:
-    """A gatelist number: ASCII digits as export_circuit writes; int() also takes signs, _ and other scripts."""
-    if not (word.isascii() and word.isdigit()):
-        raise ValueError(f"number {word!r} is not a run of ASCII digits")
-    return int(word)
-
-
 def parse_circuit(text: str) -> Circuit:
     """Read back export_circuit's text; any fault, or a size past its limit, raises SwapnetError."""
     if len(text) > CIRCUIT_CHAR_LIMIT:
@@ -412,13 +396,13 @@ def parse_circuit(text: str) -> Circuit:
         # from above, and only a bound past the limit needs the exact count
         if sum(map(text.count, _LINE_BREAKS)) > GATE_LIMIT:
             _check_gate_count(sum(1 for _ in lines))
-        d, n = _number(head[1]), _number(head[3])
+        d, n = _ascii_int(head[1]), _ascii_int(head[3])
         gates = []
         for ln in [ln for ln in text.splitlines() if ln.strip()][1:]:
             parts = ln.split()
             if len(parts) != 3 or parts[0] != "CNOT":
                 raise SwapnetError(f"malformed gate line: {ln!r}")
-            gates.append((_number(parts[1]), _number(parts[2])))
+            gates.append((_ascii_int(parts[1]), _ascii_int(parts[2])))
         return Circuit(d, n, gates)
     # bad integers, what Circuit refuses, and JSON nested past the recursion limit
     except (ValueError, RecursionError) as exc:

@@ -33,6 +33,25 @@ def _check_order(d: int) -> None:
         raise ValueError(f"sequence order must be an integer >= 2, got {d!r}")
 
 
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """``value`` must be an int, not a bool or float, and at least ``low`` if given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
+def _ascii_int(text: str) -> int:
+    """An integer read from text (a CLI flag, SWAPNET_BUDGET, a seed, a gatelist number).
+
+    An optional '-', then ASCII digits only: ``int()`` also reads spaces, '+', '_' and other scripts.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 def _pascal_rows(m: int, width: int, n_max: int):
     """Rows 0..n_max of Pascal's triangle mod m, each cut to columns 0..width.
 
@@ -44,31 +63,6 @@ def _pascal_rows(m: int, width: int, n_max: int):
     for n in range(1, n_max + 1):
         row = [1] + [(a + b) % m for a, b in zip(row, row[1:])] + ([1] if n <= width else [])
         yield row
-
-
-class PascalTable:
-    """Triangular table of C(n, k) mod m, built with the addition rule.
-
-    ``rows[n][k]`` holds C(n, k) reduced mod ``modulus`` for 0 <= k <= n
-    and n <= ``max_n``.  Construction cost is O(max_n^2), which is the
-    point: the table is valid over any modulus, prime or not.
-    """
-
-    def __init__(self, modulus: int, max_n: int):
-        _check_modulus(modulus)
-        if max_n < 0:
-            raise ValueError("max_n must be >= 0")
-        self.modulus = modulus
-        self.max_n = max_n
-        self.rows = list(_pascal_rows(modulus, max_n, max_n))
-
-    def binom(self, n: int, k: int) -> int:
-        """C(n, k) mod modulus, with the 0-outside-the-triangle convention."""
-        if not 0 <= n <= self.max_n:
-            raise ValueError(f"row {n} outside table (max_n={self.max_n})")
-        if k < 0 or k > n:
-            return 0
-        return self.rows[n][k]
 
 
 def binom_exact(n: int, k: int) -> int:
@@ -203,8 +197,7 @@ def first_window_return(order: int, modulus: int, budget: int) -> tuple[int | No
     """
     _check_order(order)
     _check_modulus(modulus)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_int("budget", budget, 1)
     terms = _terms(order, modulus)
     kept = deque(islice(terms, order), maxlen=2 * order - 1)  # the tail, then the window
     run = order  # length of the current suffix run of ones

@@ -26,11 +26,13 @@ def child_env():
     """Environment for a child Python process.
 
     Starts from os.environ, puts this checkout's src/ first on PYTHONPATH
-    so the child imports swapnet from here without an install, and drops
-    SWAPNET_BUDGET; a test that wants a budget sets it on the copy.
+    so the child imports swapnet from here without an install, drops
+    SWAPNET_BUDGET (a test that wants a budget sets it on the copy), and
+    turns every warning into an error, as pyproject.toml does in this process.
     """
     env = dict(os.environ)
     env.pop("SWAPNET_BUDGET", None)
+    env["PYTHONWARNINGS"] = "error"
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )

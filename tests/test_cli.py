@@ -301,7 +301,7 @@ class TestSimulate:
         assert len(set(labels)) == d * d
         for line, label in zip(lines, labels):
             digits = [int(x) for x in (label.split(sep) if sep else label)]
-            amp = want[network.index_of_digits(d, digits)]
+            amp = want[digits[0] * d + digits[1]]  # big-endian over the two systems
             assert line == f"{label} {cli._fmt(amp.real)} {cli._fmt(amp.imag)}"
 
     def test_random_state_is_reproducible(self, capsys, tmp_path):
@@ -320,7 +320,8 @@ class TestSimulate:
         path = tmp_path / "c.txt"
         path.write_text(export_circuit(build_cyclic_network(2, 1)))  # two qubits
         for spec in ("xyz", "9 9", "random --seed", "random --seed x", "random --seed -1",
-                     "012", "02", "\u0661\u0660"):
+                     "012", "02", "\u0661\u0660", "\u00b91", "random --seed \u0661",
+                     "random --seed +1", "random --seed 1_0"):
             code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--state", spec)
             assert code == 1 and out == "", spec
             assert err.startswith(f"error: bad state spec {spec!r}: ")
@@ -547,6 +548,32 @@ class TestHarness:
         code, _, err = run_cli(capsys, "cycle", "--d", "1")
         assert code == 2
 
+    # each last argument is a spelling int() reads; an integer flag takes '-' and ASCII digits only
+    @pytest.mark.parametrize("argv", [
+        ["seq", "--count", "10", "--d", "\u0663"],
+        ["seq", "--d", "3", "--count", "1_0"],
+        ["seq", "--d", "3", "--count", "10", "--mod", "+5"],
+        ["cycle", "--d", " 6"],
+        ["cycle", "--d", "+6"],
+        ["cycle", "--d", "6", "--budget", "1 000"],
+        ["scan", "--max", "\u0669"],
+        ["scan", "--max", "9", "--budget", "1_000"],
+        ["swap", "--d", "3 "],
+        ["swap", "--d", "3", "--budget", "\uff11\uff10"],
+        ["trace", "--steps", "5", "--d", "\u00b3"],
+        ["trace", "--d", "3", "--steps", "+5"],
+        ["closed-form", "--n", "4_0"],
+        ["closed-form", "--n", "4", "--count", "\u0662\u0666"],
+        ["export", "--gates", "8", "--d", "+3"],
+        ["export", "--d", "3", "--gates", " 8"],
+    ])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == "" and f"invalid _ascii_int value: {argv[-1]!r}" in err_text
+
     @pytest.mark.parametrize("verb", ["cycle", "swap"])
     @pytest.mark.parametrize("d", ["1", "0", "-3"])
     def test_order_below_two_names_the_order(self, capsys, monkeypatch, verb, d):
@@ -587,7 +614,7 @@ class TestHarness:
         assert proc.returncode == 0
         assert proc.stdout.strip() == SEQ_D4
 
-    @pytest.mark.parametrize("value", ["abc", "1e3", "0"])
+    @pytest.mark.parametrize("value", ["abc", "1e3", "0", "\u0661\u0660", " 1_000 ", "+5"])
     def test_env_budget_invalid_exit_2(self, capsys, monkeypatch, value):
         monkeypatch.setenv("SWAPNET_BUDGET", value)
         for d in ("10", "9"):  # a composite and a prime power alike

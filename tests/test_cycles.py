@@ -131,9 +131,19 @@ class TestCheckPrime:
 @pytest.mark.parametrize("call,error,message", [
     (lambda: predicted_cycle(2, 0), ValueError, "m must be >= 1"),
     (lambda: predicted_cycle(3, -1), ValueError, "m must be >= 1"),
+    (lambda: predicted_cycle(2, 1.5), ValueError, "m must be an integer, got 1.5"),
+    (lambda: predicted_cycle(2, True), ValueError, "m must be an integer, got True"),
+    (lambda: cycle_length(10, True), ValueError, "budget must be an integer, got True"),
+    (lambda: cycle_length(10, 2.5), ValueError, "budget must be an integer, got 2.5"),
+    (lambda: cycle_length_direct(3, 3, True), ValueError, "budget must be an integer, got True"),
+    (lambda: cycle_length_direct(3, 3, 9.5), ValueError, "budget must be an integer, got 9.5"),
+    (lambda: scan(True), ValueError, "max_n must be an integer, got True"),
+    (lambda: scan(5.5), ValueError, "max_n must be an integer, got 5.5"),
     (lambda: Factorization.of(1), ValueError, "cannot factorize 1: need n >= 2"),
     (lambda: Factorization.of(-6), ValueError, "cannot factorize -6: need n >= 2"),
-], ids=["predicted-m0", "predicted-m-1", "factor-1", "factor-neg"])
+], ids=["predicted-m0", "predicted-m-1", "predicted-float", "predicted-bool", "budget-bool",
+        "budget-float", "direct-bool", "direct-float", "scan-bool", "scan-float",
+        "factor-1", "factor-neg"])
 def test_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -342,7 +352,7 @@ class TestDefaultBudget:
         monkeypatch.setenv("SWAPNET_BUDGET", "")
         assert cycles.env_budget() is None
 
-    @pytest.mark.parametrize("value", ["abc", "1e3", "0", "-5", " "])
+    @pytest.mark.parametrize("value", ["abc", "1e3", "0", "-5", " ", "\u0661\u0660", " 1_000 ", "+5"])
     def test_env_invalid_names_the_variable(self, monkeypatch, value):
         monkeypatch.setenv("SWAPNET_BUDGET", value)
         with pytest.raises(ValueError, match="SWAPNET_BUDGET"):

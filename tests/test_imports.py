@@ -10,7 +10,7 @@ import swapnet
 from swapnet.cli import main
 from swapnet.network import build_cyclic_network, export_circuit
 
-# the 51 public names, by the submodule that defines them
+# the 49 public names, by the submodule that defines them
 EXPORTS = {
     "cycles": {"CycleReport", "ScanFailure", "cycle_length", "cycle_length_direct",
                "predicted_cycle", "scan", "scan_csv"},
@@ -18,13 +18,13 @@ EXPORTS = {
                "InvalidPrimeError", "MismatchError", "NumericError", "SizeBudgetError",
                "SwapnetError", "VerificationError"},
     "factor": {"Factorization"},
-    "genfun": {"ClosedForm", "closed_form", "compare_closed_vs_exact", "distinct_roots_check",
-               "eval_closed", "find_roots", "max_deviation", "series_denominator"},
+    "genfun": {"ClosedForm", "closed_form", "compare_closed_vs_exact", "eval_closed",
+               "find_roots", "max_deviation", "series_denominator"},
     "network": {"Circuit", "LinearMapZd", "StateVector", "TraceArray",
                 "build_cyclic_network", "export_circuit", "full_operator", "linear_map",
                 "parse_circuit", "permutation_matrix_text", "random_qudit", "simulate",
                 "trace_array", "verify_swap"},
-    "seqcore": {"PascalTable", "binom_exact", "binom_mod", "exact_sequence",
+    "seqcore": {"binom_exact", "binom_mod", "exact_sequence",
                 "first_window_return", "hockey_stick_check", "lu_tsai_period",
                 "prime_binomial_residue", "seq_stream", "term_exact", "term_exact_range",
                 "term_mod"},
@@ -51,7 +51,7 @@ def _loaded(stderr: str) -> set[str]:
 
 class TestNamespace:
     def test_export_table_is_pinned(self):
-        assert len(NAMES) == 51
+        assert len(NAMES) == 49
         assert {m: set(names) for m, names in swapnet._EXPORTS.items()} == EXPORTS
 
     @pytest.mark.parametrize("name", NAMES)

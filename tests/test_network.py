@@ -24,10 +24,8 @@ from swapnet.network import (
     Circuit,
     StateVector,
     build_cyclic_network,
-    digits_of_index,
     export_circuit,
     full_operator,
-    index_of_digits,
     linear_map,
     parse_circuit,
     permutation_matrix_text,
@@ -41,6 +39,15 @@ from swapnet.seqcore import seq_stream, term_mod
 # top coefficient row of the worked dimension-4 array, first 30 columns
 D4_ROW0 = [0, 0, 0, 1, 1, 1, 1, 2, 3, 0, 1, 3, 2, 2, 3, 2, 0, 2, 1, 3,
            3, 1, 2, 1, 0, 1, 3, 0, 0, 1]
+
+
+def index_of_digits(d, digits):
+    # the module docstring's big-endian index, sum x_k d^(n-1-k), written out without numpy
+    return sum(x * d ** (len(digits) - 1 - k) for k, x in enumerate(digits))
+
+
+def digits_of_index(d, n, index):
+    return tuple(index // d ** (n - 1 - k) % d for k in range(n))
 
 
 def basis_map_oracle(d, gates, digits):
@@ -407,8 +414,14 @@ class TestTraceLinearMap:
 class TestStateVector:
     def test_basis_indexing(self):
         sv = StateVector.basis(3, 3, "102")
-        assert sv.amplitudes[index_of_digits(3, (1, 0, 2))] == 1.0
-        assert digits_of_index(3, 3, 11) == (1, 0, 2)
+        assert sv.amplitudes[11] == 1.0 and np.count_nonzero(sv.amplitudes) == 1
+        assert index_of_digits(3, (1, 0, 2)) == 11 and digits_of_index(3, 3, 11) == (1, 0, 2)
+
+    @pytest.mark.parametrize("text", ["\u0661\u0660", "\u00b91", "1 0", "", "-1"])
+    def test_digit_string_is_ascii_digits_only(self, text):
+        # str.isdigit and int() also read Arabic-Indic digits and superscripts
+        with pytest.raises(ValueError, match=re.escape(f"digit string {text!r} is not ASCII digits")):
+            StateVector.basis(10, 2, text)
 
     def test_norm_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for the sequence core: dual routes, identities, periods."""
 import logging
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from swapnet.cycles import predicted_cycle
 from swapnet.errors import InconclusiveError, InvalidModulusError, InvalidPrimeError, VerificationError
 from swapnet.factor import Factorization
 from swapnet.seqcore import (
-    PascalTable,
+    _pascal_rows,
     binom_exact,
     binom_mod,
     exact_sequence,
@@ -111,25 +112,28 @@ class TestBinomials:
 
 
 class TestPascalTable:
+    """Pascal's triangle mod m, row by row, as `_pascal_rows` builds it."""
+
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 9, 10, 49])
     def test_rows_match_exact_binomials(self, m):
-        table = PascalTable(m, 60)
-        for n in range(61):
-            assert table.rows[n] == [math.comb(n, k) % m for k in range(n + 1)]
+        rows = list(_pascal_rows(m, 60, 60))
+        assert [len(row) for row in rows] == list(range(1, 62))
+        for n, row in enumerate(rows):
+            assert row == [binom_oracle(n, k) % m for k in range(n + 1)]
+
+    @pytest.mark.parametrize("m, width", [(6, 0), (7, 1), (10, 5), (49, 17)])
+    def test_cut_rows_are_prefixes(self, m, width):
+        # binom_mod and lu_tsai_period read column <= width of rows far longer than it
+        for n, row in enumerate(_pascal_rows(m, width, 60)):
+            assert row == [binom_oracle(n, k) % m for k in range(min(n, width) + 1)]
 
     def test_addition_rule_elementwise(self):
-        table = PascalTable(7, 40)
+        rows = list(_pascal_rows(7, 40, 40))
         for n in range(1, 41):
-            row, prev = table.rows[n], table.rows[n - 1]
+            row, prev = rows[n], rows[n - 1]
             assert row[0] == row[n] == 1
             for k in range(1, n):
                 assert row[k] == (prev[k - 1] + prev[k]) % 7
-
-    def test_outside_triangle(self):
-        table = PascalTable(5, 10)
-        assert table.binom(4, 7) == 0
-        assert table.binom(4, -1) == 0
-        assert table.binom(3, 2) == 3
 
 
 class TestSequenceRoutes:
@@ -346,12 +350,11 @@ def _aperiodic_rows(m, width, n_max):
 
 
 @pytest.mark.parametrize("call,error,message", [
-    (lambda mp: PascalTable(5, -1), ValueError, "max_n must be >= 0"),
-    (lambda mp: PascalTable(5, 3).binom(4, 0), ValueError, "row 4 outside table (max_n=3)"),
-    (lambda mp: PascalTable(5, 3).binom(-1, 0), ValueError, "row -1 outside table (max_n=3)"),
     (lambda mp: term_exact(-1, 3), ValueError, "j must be >= 0"),
     (lambda mp: term_mod(-1, 3, 5), ValueError, "j must be >= 0"),
     (lambda mp: first_window_return(3, 5, 0), ValueError, "budget must be >= 1"),
+    (lambda mp: first_window_return(3, 5, True), ValueError, "budget must be an integer, got True"),
+    (lambda mp: first_window_return(3, 5, 2.0), ValueError, "budget must be an integer, got 2.0"),
     (lambda mp: hockey_stick_check(-1, 2), ValueError, "j and k must be >= 0"),
     (lambda mp: hockey_stick_check(2, -1), ValueError, "j and k must be >= 0"),
     (lambda mp: prime_binomial_residue(5, -2), ValueError, "j must be >= -1"),
@@ -360,13 +363,25 @@ def _aperiodic_rows(m, width, n_max):
     (lambda mp: (mp.setattr(seqcore, "_pascal_rows", _aperiodic_rows),
                  lu_tsai_period(2, 1, 1)),
      InconclusiveError, "no period <= 4 found for C(j,1) mod 2^1"),
-], ids=["pascal-max-n", "pascal-row-high", "pascal-row-low", "term-exact", "term-mod",
-        "window-budget", "hockey-j", "hockey-k", "residue-j", "lu-tsai-a", "lu-tsai-k",
-        "lu-tsai-no-period"])
+], ids=["term-exact", "term-mod", "window-budget", "window-bool", "window-float", "hockey-j",
+        "hockey-k", "residue-j", "lu-tsai-a", "lu-tsai-k", "lu-tsai-no-period"])
 def test_refusals(monkeypatch, call, error, message):
     with pytest.raises(error) as info:
         call(monkeypatch)
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("42", 42), ("-3", -3), ("-0", 0), ("007", 7),
+                                         (str(10 ** 30), 10 ** 30)])
+def test_ascii_int_reads(text, value):
+    assert seqcore._ascii_int(text) == value
+
+
+# int() reads ' 6', '6 ', '+6', '1_0' and the Arabic-Indic and fullwidth digits; '¹1' passes str.isdigit
+@pytest.mark.parametrize("text", ["", "-", "--3", " 6", "6 ", "+6", "1_0", "\u0663", "\u00b91", "\uff11"])
+def test_ascii_int_refuses(text):
+    with pytest.raises(ValueError, match=re.escape(f"{text!r} is not an integer in ASCII digits")):
+        seqcore._ascii_int(text)
 
 
 def test_is_prime():
