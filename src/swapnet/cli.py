@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import seqcore
-from .errors import InconclusiveError, SizeBudgetError, SwapnetError, VerificationError
+from .errors import InconclusiveError, SizeBudgetError, SwapnetError, VerificationError, _check_int
 from .seqcore import _ascii_int
 
 
@@ -60,7 +60,7 @@ def _check_seq_size(d: int, count: int, mod: int | None) -> None:
 
 
 def cmd_seq(args) -> int:
-    seqcore._check_order(args.d)  # usage errors come before any size check
+    _check_int("order", args.d, 2)  # usage errors come before any size check
     if args.mod is not None:
         seqcore._check_modulus(args.mod)
     _check_seq_size(args.d, args.count, args.mod)
@@ -137,8 +137,7 @@ def cmd_swap(args) -> int:
 
 def cmd_trace(args) -> int:
     from . import network
-    seqcore._check_modulus(args.d)  # an invalid d is a usage error before any size check
-    network._check_trace_rows(args.d, args.steps)  # before any row is built
+    network._check_trace_rows(args.d, args.steps)  # usage errors, then the size, before any row is built
     arr = network.trace_array(args.d, args.steps)
     if args.json:
         _emit_json({
@@ -208,8 +207,7 @@ def cmd_closed_form(args) -> int:
     genfun.check_tol(args.tol)  # refused before any root is sought
     if math.isinf(args.tol):  # JSON has no Infinity
         raise ValueError(f"tol must be finite, got {args.tol!r}")
-    if args.count < 0:
-        raise ValueError("count must be >= 0")
+    _check_int("count", args.count, 0)
     # the last term is at least alpha^(count-n); doubles stop being exact at 2^53
     if args.count > args.n and (args.count - args.n) * math.log2(_growth(args.n)) >= 53:
         raise ValueError(f"--count {args.count} at order {args.n} reaches terms past "
@@ -386,6 +384,14 @@ def cmd_check(args) -> int:
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
+def _int_flag(text: str) -> int:
+    """``_ascii_int`` for argparse, so its message states the grammar and names no function."""
+    try:
+        return _ascii_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapnet",
@@ -400,39 +406,39 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("seq", cmd_seq, help="print sequence terms")
-    p.add_argument("--d", type=_ascii_int, required=True, help="sequence order / dimension")
-    p.add_argument("--count", type=_ascii_int, required=True, help="number of terms")
-    p.add_argument("--mod", type=_ascii_int, default=None, help="reduce terms mod M")
+    p.add_argument("--d", type=_int_flag, required=True, help="sequence order / dimension")
+    p.add_argument("--count", type=_int_flag, required=True, help="number of terms")
+    p.add_argument("--mod", type=_int_flag, default=None, help="reduce terms mod M")
 
     p = add("cycle", cmd_cycle, help="cycle length report for one dimension")
-    p.add_argument("--d", type=_ascii_int, required=True)
-    p.add_argument("--budget", type=_ascii_int, default=None, help="cap on each factor's period")
+    p.add_argument("--d", type=_int_flag, required=True)
+    p.add_argument("--budget", type=_int_flag, default=None, help="cap on each factor's period")
 
     p = add("scan", cmd_scan, help="cycle reports for all dimensions up to a bound")
-    p.add_argument("--max", type=_ascii_int, required=True)
-    p.add_argument("--budget", type=_ascii_int, default=None, help="cap on each factor's period")
+    p.add_argument("--max", type=_int_flag, required=True)
+    p.add_argument("--budget", type=_int_flag, default=None, help="cap on each factor's period")
     p.add_argument("--csv", action="store_true", help="two-column CSV output")
 
     p = add("swap", cmd_swap, help="classify what one full network cycle does")
-    p.add_argument("--d", type=_ascii_int, required=True)
-    p.add_argument("--budget", type=_ascii_int, default=None, help="cap on each factor's period")
+    p.add_argument("--d", type=_int_flag, required=True)
+    p.add_argument("--budget", type=_int_flag, default=None, help="cap on each factor's period")
 
     p = add("trace", cmd_trace, help="coefficient array of the network over time")
-    p.add_argument("--d", type=_ascii_int, required=True)
-    p.add_argument("--steps", type=_ascii_int, required=True, help="last time column T")
+    p.add_argument("--d", type=_int_flag, required=True)
+    p.add_argument("--steps", type=_int_flag, required=True, help="last time column T")
 
     p = add("simulate", cmd_simulate, help="run a circuit file on a state")
     p.add_argument("--circuit", required=True, help="circuit file (json or gatelist)")
     p.add_argument("--state", required=True, help="digit string or 'random --seed K'")
 
     p = add("closed-form", cmd_closed_form, help="roots/weights table and exact comparison")
-    p.add_argument("--n", type=_ascii_int, required=True)
-    p.add_argument("--count", type=_ascii_int, default=26)
+    p.add_argument("--n", type=_int_flag, required=True)
+    p.add_argument("--count", type=_int_flag, default=26)
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = add("export", cmd_export, help="serialize a cyclic network")
-    p.add_argument("--d", type=_ascii_int, required=True)
-    p.add_argument("--gates", type=_ascii_int, required=True)
+    p.add_argument("--d", type=_int_flag, required=True)
+    p.add_argument("--gates", type=_int_flag, required=True)
 
     add("check", cmd_check, help="run the built-in invariant suite")
     return parser

@@ -26,9 +26,9 @@ import os
 from dataclasses import dataclass
 
 from . import ring
-from .errors import FactoringError, InconclusiveError, SizeBudgetError, VerificationError
+from .errors import FactoringError, InconclusiveError, SizeBudgetError, VerificationError, _check_int
 from .factor import Factorization, _check_prime
-from .seqcore import _ascii_int, _check_int, _check_order, first_window_return
+from .seqcore import _ascii_int, first_window_return
 
 log = logging.getLogger(__name__)
 
@@ -204,7 +204,7 @@ def cycle_length(d: int, budget: int | None = None) -> CycleReport:
     For d = p^m the period is compared with N: a mismatch raises for
     prime d and is recorded in ``conjecture_ok`` for m > 1.
     """
-    _check_order(d)
+    _check_int("order", d, 2)
     if d > RING_LIMIT:
         raise SizeBudgetError(f"order {d} exceeds the {RING_LIMIT} ring limit")
     f = Factorization.of(d)

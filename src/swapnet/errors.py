@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for integer arguments."""
+
+
+def _check_int(name: str, value, low: int | None = None, error: type = ValueError) -> None:
+    """``value`` must be an int, not a bool or float, and at least ``low`` if given; else ``error``, a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}")
 
 
 class SwapnetError(Exception):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import collections
 import math
 
-from .errors import FactoringError, InvalidPrimeError
+from .errors import FactoringError, InvalidPrimeError, _check_int
 
 TRIAL_LIMIT = 10 ** 4
 # Miller-Rabin with the 13 prime bases up to 41 is deterministic below MR_LIMIT
@@ -94,8 +94,7 @@ class Factorization(collections.namedtuple("Factorization", "n factors")):
 
     @classmethod
     def of(cls, n: int) -> "Factorization":
-        if n < 2:
-            raise ValueError(f"cannot factorize {n}: need n >= 2")
+        _check_int("n", n, 2)
         left = n
         counts: dict[int, int] = {}
         p = 2
@@ -124,5 +123,6 @@ class Factorization(collections.namedtuple("Factorization", "n factors")):
 
 
 def _check_prime(p: int) -> None:
+    _check_int("p", p, error=InvalidPrimeError)
     if not is_proven_prime(p):
         raise InvalidPrimeError(f"p must be a proven prime, got {p}")

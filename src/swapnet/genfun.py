@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MismatchError, NumericError, SizeBudgetError
+from .errors import MismatchError, NumericError, SizeBudgetError, _check_int
 from .seqcore import exact_sequence
 
 ROOT_TOL = 1e-12
@@ -36,8 +36,7 @@ def series_denominator(n: int) -> tuple[float, ...]:
 
     n above DEGREE_LIMIT is refused before anything is built.
     """
-    if n < 2:
-        raise ValueError("order must be >= 2")
+    _check_int("order", n, 2)
     if n > DEGREE_LIMIT:
         raise SizeBudgetError(f"order {n} exceeds the {DEGREE_LIMIT} degree limit")
     return (1.0, -1.0) + (0.0,) * (n - 2) + (-1.0,)
@@ -202,8 +201,7 @@ def eval_closed(cf: ClosedForm, j: int) -> tuple[float, int]:
     The imaginary parts of the summands must cancel; a residue beyond
     1e-6 (relative to the value) means the data is unusable.
     """
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    _check_int("j", j, 0)
     total = sum(b * a ** j for a, b in zip(cf.alphas, cf.betas))
     scale = max(1.0, abs(total.real))
     if abs(total.imag) > IMAG_TOL * scale:

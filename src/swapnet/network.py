@@ -24,8 +24,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import SizeBudgetError, SwapnetError
-from .seqcore import _ascii_int, _check_modulus, _terms
+from .errors import SizeBudgetError, SwapnetError, _check_int
+from .seqcore import _ASCII_INT, _ascii_int, _check_modulus, _terms
 
 OPERATOR_SIZE_LIMIT = 10 ** 6
 TRACE_LIMIT = 10 ** 7
@@ -45,8 +45,7 @@ class Circuit:
 
     def __post_init__(self):
         _check_modulus(self.d)
-        if self.n_systems < 1:
-            raise ValueError("need at least one system")
+        _check_int("n_systems", self.n_systems, 1)
         gates = np.array(self.gates)  # a copy in the inferred type, so no float or str is cast yet
         if gates.size and gates.dtype.kind not in "iu":  # the empty list infers float64
             raise ValueError(f"gate entries must be integers in int64, got {gates.dtype}")
@@ -90,8 +89,7 @@ def _check_gate_count(count: int) -> None:
 def build_cyclic_network(d: int, gate_count: int) -> Circuit:
     """The periodic schedule: gate k controls system k mod d, targets k+1 mod d."""
     _check_modulus(d)
-    if gate_count < 0:
-        raise ValueError("gate_count must be >= 0")
+    _check_int("gate_count", gate_count, 0)
     _check_gate_count(gate_count)
     # every k <= gate_count, so k mod d is k mod min(d, gate_count + 1), which fits int64
     k = np.arange(gate_count + 1) % min(d, gate_count + 1)
@@ -123,6 +121,8 @@ def _check_matrix(n: int) -> None:
 
 
 def _check_trace_rows(d: int, T: int) -> None:
+    _check_modulus(d)
+    _check_int("T", T, 0)
     if d * (T + d) > TRACE_LIMIT:
         raise SizeBudgetError(f"{d} rows of {T + d} coefficients exceed the {TRACE_LIMIT} trace limit")
 
@@ -214,8 +214,7 @@ class TraceArray:
 def trace_array(d: int, T: int) -> TraceArray:
     """Row 0 for t = -2(d-1) .. T of the dimension-d construction."""
     _check_modulus(d)
-    if T < 0:
-        raise ValueError("T must be >= 0")
+    _check_int("T", T, 0)
     if T + 2 * d - 1 > TRACE_LIMIT:
         raise SizeBudgetError(f"{T + 2 * d - 1} trace coefficients exceed the {TRACE_LIMIT} limit")
     # t = -2(d-1) .. -1 as TraceArray says, then the sequence, cut by fromiter's count
@@ -227,6 +226,7 @@ def trace_array(d: int, T: int) -> TraceArray:
 def _check_size(d: int, n: int) -> None:
     """Refuse more than OPERATOR_SIZE_LIMIT basis states before allocating them."""
     _check_modulus(d)
+    _check_int("n", n, 1)
     # with d >= 2, any n beyond the limit's bit length exceeds it; this
     # keeps d ** n from being evaluated for an absurd system count
     if n > OPERATOR_SIZE_LIMIT.bit_length() or d ** n > OPERATOR_SIZE_LIMIT:
@@ -242,8 +242,6 @@ class StateVector:
 
     def __init__(self, d: int, n: int, amplitudes):
         _check_size(d, n)
-        if n < 1:
-            raise ValueError("need at least one system")
         amps = np.asarray(amplitudes, dtype=np.complex128)
         if amps.shape != (d ** n,):
             raise ValueError(f"expected {d ** n} amplitudes, got {amps.shape}")
@@ -385,24 +383,26 @@ def parse_circuit(text: str) -> Circuit:
                 if not (isinstance(g, list) and len(g) == 2 and all(type(v) is int for v in g)):
                     raise SwapnetError(f"malformed gate: {g!r}")
             return Circuit(doc["d"], doc["systems"], doc["gates"])
-        # each non-blank line from its first non-space character, counted before any line
-        # is split off; every str.splitlines break is whitespace, so the counts agree
-        lines = re.finditer(f"\\S[^{_LINE_BREAKS}]*", text)
-        first = next(lines, None)
+        # a non-blank line from its first non-space character: every str.splitlines break is
+        # whitespace, so a match holds none, and a blank line makes none; a well-formed gate
+        # line matches the first branch of ``gate``, with its numbers in groups 1 and 2
+        line, space = f"\\S[^{_LINE_BREAKS}]*", f"[^\\S{_LINE_BREAKS}]"
+        gate = re.compile(f"CNOT{space}+({_ASCII_INT}){space}+({_ASCII_INT}){space}*(?![^{_LINE_BREAKS}])|{line}")
+        first = gate.search(text)
         head = first.group().split() if first else []
         if len(head) != 4 or head[0] != "DIM" or head[2] != "SYSTEMS":
             raise SwapnetError("gatelist must start with a 'DIM <d> SYSTEMS <n>' header")
-        # a break ends the line before each gate line, so the breaks bound the gates
-        # from above, and only a bound past the limit needs the exact count
-        if sum(map(text.count, _LINE_BREAKS)) > GATE_LIMIT:
-            _check_gate_count(sum(1 for _ in lines))
+        # the lines after the header are counted, none kept, before any gate number is read
+        _check_gate_count(sum(1 for _ in re.compile(line).finditer(text, first.end())))
         d, n = _ascii_int(head[1]), _ascii_int(head[3])
         gates = []
-        for ln in [ln for ln in text.splitlines() if ln.strip()][1:]:
-            parts = ln.split()
-            if len(parts) != 3 or parts[0] != "CNOT":
-                raise SwapnetError(f"malformed gate line: {ln!r}")
-            gates.append((_ascii_int(parts[1]), _ascii_int(parts[2])))
+        for ln in gate.finditer(text, first.end()):
+            if ln[1] is None:  # not a gate line; where only a number is wrong, _ascii_int names it
+                parts = ln[0].split()
+                if len(parts) == 3 and parts[0] == "CNOT":
+                    _ascii_int(parts[1]), _ascii_int(parts[2])
+                raise SwapnetError(f"malformed gate line: {ln[0]!r}")
+            gates.append((int(ln[1]), int(ln[2])))
         return Circuit(d, n, gates)
     # bad integers, what Circuit refuses, and JSON nested past the recursion limit
     except (ValueError, RecursionError) as exc:

@@ -16,38 +16,24 @@ without ever building large integers.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from itertools import islice
 
-from .errors import InconclusiveError, InvalidModulusError, VerificationError
+from .errors import InconclusiveError, InvalidModulusError, VerificationError, _check_int
 from .factor import _check_prime, is_proven_prime
 
 
 def _check_modulus(m: int) -> None:
-    if not isinstance(m, int) or m < 2:
-        raise InvalidModulusError(f"modulus must be an integer >= 2, got {m!r}")
+    _check_int("modulus", m, 2, InvalidModulusError)
 
 
-def _check_order(d: int) -> None:
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"sequence order must be an integer >= 2, got {d!r}")
-
-
-def _check_int(name: str, value, low: int | None = None) -> None:
-    """``value`` must be an int, not a bool or float, and at least ``low`` if given."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}")
+_ASCII_INT = "-?[0-9]+"  # an optional '-', then ASCII digits: int() also reads ' ', '+', '_' and other scripts
 
 
 def _ascii_int(text: str) -> int:
-    """An integer read from text (a CLI flag, SWAPNET_BUDGET, a seed, a gatelist number).
-
-    An optional '-', then ASCII digits only: ``int()`` also reads spaces, '+', '_' and other scripts.
-    """
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    """An integer read from text (a CLI flag, SWAPNET_BUDGET, a seed, a gatelist header) by ``_ASCII_INT``."""
+    if not re.fullmatch(_ASCII_INT, text):
         raise ValueError(f"{text!r} is not an integer in ASCII digits")
     return int(text)
 
@@ -82,6 +68,8 @@ def binom_mod(n: int, k: int, m: int) -> int:
     columns, so single queries stay cheap even for large n.
     """
     _check_modulus(m)
+    _check_int("n", n)
+    _check_int("k", k)
     if k < 0 or k > n:
         return 0
     k = min(k, n - k)
@@ -103,9 +91,8 @@ def binom_mod(n: int, k: int, m: int) -> int:
 
 def term_exact(j: int, d: int) -> int:
     """The j-th sequence term as an exact integer, via the direct sum."""
-    _check_order(d)
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    _check_int("order", d, 2)
+    _check_int("j", j, 0)
     return sum(binom_exact(j - (d - 1) * i, i) for i in range(j // d + 1))
 
 
@@ -117,7 +104,8 @@ def term_exact_range(d: int, count: int) -> list[int]:
     C(n, i) = C(n-1, i) * n / (n-i), with no recurrence involved.
     Agrees elementwise with ``term_exact``.
     """
-    _check_order(d)
+    _check_int("order", d, 2)
+    _check_int("count", count, 0)
     out, col = [], []
     for j in range(count):
         col = [c * (j - (d - 1) * i) // (j - d * i) for i, c in enumerate(col)]
@@ -152,9 +140,8 @@ def exact_sequence(d: int, count: int) -> list[int]:
     Terms are strictly increasing from index d onward since every step
     adds two positive values.
     """
-    _check_order(d)
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    _check_int("order", d, 2)
+    _check_int("count", count, 0)
     return list(islice(_terms(d), count))
 
 
@@ -166,20 +153,18 @@ def term_mod(j: int, d: int, m: int) -> int:
     O(d^2 log j), or O(d log d log j) where ``ring.square`` takes the FFT
     (d >= ring.FFT_MIN_D per limb).  ``seq_stream`` walks the recurrence instead.
     """
-    _check_order(d)
+    _check_int("order", d, 2)
     _check_modulus(m)
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    _check_int("j", j, 0)
     from . import ring  # the only use of the ring, which needs numpy
     return int(ring.x_power(j, d, m).sum() % m)
 
 
 def seq_stream(d: int, m: int, count: int) -> list[int]:
     """First ``count`` terms mod m, oldest first."""
-    _check_order(d)
+    _check_int("order", d, 2)
     _check_modulus(m)
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    _check_int("count", count, 0)
     return list(islice(_terms(d, m), count))
 
 
@@ -195,7 +180,7 @@ def first_window_return(order: int, modulus: int, budget: int) -> tuple[int | No
     gives d-1 zeros before the d initial ones, so by periodicity the
     tail is always d-1 zeros, and P > d.
     """
-    _check_order(order)
+    _check_int("order", order, 2)
     _check_modulus(modulus)
     _check_int("budget", budget, 1)
     terms = _terms(order, modulus)
@@ -215,8 +200,8 @@ def first_window_return(order: int, modulus: int, budget: int) -> tuple[int | No
 
 def hockey_stick_check(j: int, k: int) -> bool:
     """Exact check of sum_{i=0}^{k} C(j+i, i) == C(j+k+1, k)."""
-    if j < 0 or k < 0:
-        raise ValueError("j and k must be >= 0")
+    _check_int("j", j, 0)
+    _check_int("k", k, 0)
     lhs = sum(binom_exact(j + i, i) for i in range(k + 1))
     return lhs == binom_exact(j + k + 1, k)
 
@@ -229,8 +214,7 @@ def prime_binomial_residue(p: int, j: int) -> int:
     and -1 = p-1 (mod p).
     """
     _check_prime(p)
-    if j < -1:
-        raise ValueError("j must be >= -1")
+    _check_int("j", j, -1)
     res = binom_mod(p + j, p - 1, p)
     expected = 1 if j % p == p - 1 else 0
     if res != expected:
@@ -249,8 +233,8 @@ def lu_tsai_period(p: int, a: int, k: int) -> int:
     be the true one.
     """
     _check_prime(p)
-    if a < 1 or k < 1:
-        raise ValueError("a and k must be >= 1")
+    _check_int("a", a, 1)
+    _check_int("k", k, 1)
     e = 0
     while p ** (e + 1) <= k:
         e += 1

@@ -252,6 +252,10 @@ class TestSizeLimits:
             code, out, err = run_cli(capsys, "trace", "--d", "1", "--steps", steps)
             assert code == 2 and out == ""
             assert err.startswith("usage error: ")
+        # a negative T is a usage error at every d, though d (T + d) passes the limit at d = 10000
+        for d in ("5", "10000"):
+            code, out, err = run_cli(capsys, "trace", "--d", d, "--steps", "-1")
+            assert (code, out, err) == (2, "", "usage error: T must be >= 0\n")
 
     def test_trace_refused_before_any_row(self, capsys):
         # 5 * 2,000,001 coefficients: one column past the limit
@@ -572,16 +576,18 @@ class TestHarness:
             main(argv)
         assert err.value.code == 2
         out, err_text = capsys.readouterr()
-        assert out == "" and f"invalid _ascii_int value: {argv[-1]!r}" in err_text
+        # the message states the grammar and names no function of the package
+        assert out == "" and f"{argv[-1]!r} is not an integer in ASCII digits" in err_text
+        assert "_ascii_int" not in err_text and "_int_flag" not in err_text
 
     @pytest.mark.parametrize("verb", ["cycle", "swap"])
     @pytest.mark.parametrize("d", ["1", "0", "-3"])
     def test_order_below_two_names_the_order(self, capsys, monkeypatch, verb, d):
-        # the order is checked before d is factored, so the message is about the sequence
+        # the order is checked before d is factored, so the message names the order, not n
         monkeypatch.setattr(factor.Factorization, "of", lambda *args: pytest.fail("factored"))
         code, out, err = run_cli(capsys, verb, "--d", d)
         assert code == 2 and out == ""
-        assert err == f"usage error: sequence order must be an integer >= 2, got {d}\n"
+        assert err == "usage error: order must be >= 2\n"
         assert "Traceback" not in err
 
     def test_unknown_verb_exit_2(self):

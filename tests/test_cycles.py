@@ -139,11 +139,18 @@ class TestCheckPrime:
     (lambda: cycle_length_direct(3, 3, 9.5), ValueError, "budget must be an integer, got 9.5"),
     (lambda: scan(True), ValueError, "max_n must be an integer, got True"),
     (lambda: scan(5.5), ValueError, "max_n must be an integer, got 5.5"),
-    (lambda: Factorization.of(1), ValueError, "cannot factorize 1: need n >= 2"),
-    (lambda: Factorization.of(-6), ValueError, "cannot factorize -6: need n >= 2"),
+    (lambda: Factorization.of(1), ValueError, "n must be >= 2"),
+    (lambda: Factorization.of(-6), ValueError, "n must be >= 2"),
+    (lambda: Factorization.of(True), ValueError, "n must be an integer, got True"),
+    (lambda: Factorization.of(12.0), ValueError, "n must be an integer, got 12.0"),
+    (lambda: predicted_cycle(2.0, 1), InvalidPrimeError, "p must be an integer, got 2.0"),
+    (lambda: predicted_cycle(True, 1), InvalidPrimeError, "p must be an integer, got True"),
+    (lambda: cycle_length(True), ValueError, "order must be an integer, got True"),
+    (lambda: cycle_length(6.0), ValueError, "order must be an integer, got 6.0"),
 ], ids=["predicted-m0", "predicted-m-1", "predicted-float", "predicted-bool", "budget-bool",
         "budget-float", "direct-bool", "direct-float", "scan-bool", "scan-float",
-        "factor-1", "factor-neg"])
+        "factor-1", "factor-neg", "factor-bool", "factor-float", "predicted-p-float", "predicted-p-bool",
+        "order-bool", "order-float"])
 def test_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -292,11 +292,19 @@ class TestCompare:
         assert err.value.index is not None
 
 
-@pytest.mark.parametrize("j", [-1, -10])
-def test_refusals(j):
+@pytest.mark.parametrize("call,message", [
+    (lambda cf: eval_closed(cf, -1), "j must be >= 0"),
+    (lambda cf: eval_closed(cf, -10), "j must be >= 0"),
+    (lambda cf: eval_closed(cf, True), "j must be an integer, got True"),
+    (lambda cf: eval_closed(cf, 2.0), "j must be an integer, got 2.0"),
+    (lambda cf: series_denominator(1), "order must be >= 2"),
+    (lambda cf: series_denominator(True), "order must be an integer, got True"),
+    (lambda cf: series_denominator(4.0), "order must be an integer, got 4.0"),
+], ids=["-1", "-10", "j-bool", "j-float", "order-1", "order-bool", "order-float"])
+def test_refusals(call, message):
     with pytest.raises(ValueError) as info:
-        eval_closed(closed_form(4), j)
-    assert type(info.value) is ValueError and str(info.value) == "j must be >= 0"
+        call(closed_form(4))
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 class TestMaxDeviation:

@@ -85,6 +85,15 @@ def test_only_factor_defines_factoring():
             assert not FACTORING & _defined(tree), (name, FACTORING & _defined(tree))
 
 
+def test_only_errors_defines_the_integer_rule():
+    # one function decides what counts as an integer argument; a second copy would drift from it
+    assert "_check_int" in _defined(TREES["errors"])
+    for name, tree in TREES.items():
+        assert "_check_order" not in _defined(tree), name
+        if name != "errors":
+            assert "_check_int" not in _defined(tree), name
+
+
 def test_seqcore_holds_no_factoring():
     # seqcore checks primes through factor._check_prime and re-exports nothing else of it
     assert not (FACTORING - {"_check_prime"}) & _imported_names(TREES["seqcore"])

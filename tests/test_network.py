@@ -387,15 +387,31 @@ class TestTraceLinearMap:
         assert arr.t_end == T and len(arr.row0) == T + 2 * d - 1
         assert arr.row0.nbytes == (T + 2 * d - 1) * (1 if d <= 256 else 2)
 
-    @pytest.mark.parametrize("n,amplitudes,message", [
-        (0, [1.0], "need at least one system"),
-        (-1, [1.0], "need at least one system"),
-        (2, [1.0, 0.0, 0.0], "expected 4 amplitudes, got (3,)"),
-        (1, [[1.0, 0.0]], "expected 2 amplitudes, got (1, 2)"),
-    ], ids=["no-system", "negative", "short", "two-dimensional"])
-    def test_refusals(self, n, amplitudes, message):
+    @pytest.mark.parametrize("call,message", [
+        (lambda: StateVector(2, 0, [1.0]), "n must be >= 1"),
+        (lambda: StateVector(2, -1, [1.0]), "n must be >= 1"),
+        (lambda: StateVector(2, 2, [1.0, 0.0, 0.0]), "expected 4 amplitudes, got (3,)"),
+        (lambda: StateVector(2, 1, [[1.0, 0.0]]), "expected 2 amplitudes, got (1, 2)"),
+        # every integer parameter is an int: a bool or a float is refused, never read as a number
+        (lambda: StateVector(2, True, [1.0, 0.0]), "n must be an integer, got True"),
+        (lambda: StateVector(2, 1.0, [1.0, 0.0]), "n must be an integer, got 1.0"),
+        (lambda: StateVector.random(2, True, 0), "n must be an integer, got True"),
+        (lambda: StateVector.basis(2, 2.0, "01"), "n must be an integer, got 2.0"),
+        (lambda: Circuit(3, 0), "n_systems must be >= 1"),
+        (lambda: Circuit(3, True), "n_systems must be an integer, got True"),
+        (lambda: Circuit(3, 3.0), "n_systems must be an integer, got 3.0"),
+        (lambda: build_cyclic_network(3, -1), "gate_count must be >= 0"),
+        (lambda: build_cyclic_network(3, True), "gate_count must be an integer, got True"),
+        (lambda: build_cyclic_network(3, 8.0), "gate_count must be an integer, got 8.0"),
+        (lambda: trace_array(3, -1), "T must be >= 0"),
+        (lambda: trace_array(3, True), "T must be an integer, got True"),
+        (lambda: trace_array(3, 5.0), "T must be an integer, got 5.0"),
+    ], ids=["no-system", "negative", "short", "two-dimensional", "n-bool", "n-float",
+            "random-n-bool", "basis-n-float", "circuit-no-system", "circuit-bool", "circuit-float",
+            "gates-negative", "gates-bool", "gates-float", "trace-negative", "trace-bool", "trace-float"])
+    def test_refusals(self, call, message):
         with pytest.raises(ValueError) as info:
-            StateVector(2, n, amplitudes)
+            call()
         assert type(info.value) is ValueError and str(info.value) == message
 
     def test_size_budget_before_allocation(self):
@@ -949,27 +965,6 @@ class TestSerialization:
         with pytest.raises(SizeBudgetError, match="5 gates exceed the 4 gate limit"):
             parse_circuit(text)
 
-    def test_exact_count_only_when_the_breaks_pass_the_limit(self, monkeypatch):
-        # the header is the first match; the exact count reads every later one
-        read = []
-        finditer = network.re.finditer
-
-        def counted(pattern, text):
-            for match in finditer(pattern, text):
-                read.append(match)
-                yield match
-
-        monkeypatch.setattr(network.re, "finditer", counted)
-        text = export_circuit(build_cyclic_network(3, 5), "gatelist")
-        assert text.count("\n") == 5  # one break before each gate line, none after the last
-        monkeypatch.setattr(network, "GATE_LIMIT", 5)
-        assert len(parse_circuit(text)) == 5 and len(read) == 1
-        read.clear()
-        monkeypatch.setattr(network, "GATE_LIMIT", 4)
-        with pytest.raises(SizeBudgetError, match="5 gates exceed the 4 gate limit"):
-            parse_circuit(text)
-        assert len(read) == 6
-
     def test_gatelist_past_the_limit_refused_before_splitting(self):
         text = "DIM 3 SYSTEMS 3\n" + "CNOT 0 1\n" * (GATE_LIMIT + 1)  # 9 MB
         tracemalloc.start()
@@ -980,6 +975,19 @@ class TestSerialization:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 10 ** 6  # a list of the lines alone would be 8 MB of pointers
+
+    def test_blank_padded_gatelist_lists_no_line(self):
+        # twice GATE_LIMIT blank lines pass any bound read off the line breaks, yet hold no gate
+        circuit = build_cyclic_network(3, 10)
+        text = export_circuit(circuit, "gatelist") + "\n" * (2 * GATE_LIMIT)
+        tracemalloc.start()
+        try:
+            parsed = parse_circuit(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed == circuit
+        assert peak < 10 ** 6  # a list of the lines alone would be 16 MB of pointers
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

@@ -355,16 +355,54 @@ def _aperiodic_rows(m, width, n_max):
     (lambda mp: first_window_return(3, 5, 0), ValueError, "budget must be >= 1"),
     (lambda mp: first_window_return(3, 5, True), ValueError, "budget must be an integer, got True"),
     (lambda mp: first_window_return(3, 5, 2.0), ValueError, "budget must be an integer, got 2.0"),
-    (lambda mp: hockey_stick_check(-1, 2), ValueError, "j and k must be >= 0"),
-    (lambda mp: hockey_stick_check(2, -1), ValueError, "j and k must be >= 0"),
+    (lambda mp: hockey_stick_check(-1, 2), ValueError, "j must be >= 0"),
+    (lambda mp: hockey_stick_check(2, -1), ValueError, "k must be >= 0"),
     (lambda mp: prime_binomial_residue(5, -2), ValueError, "j must be >= -1"),
-    (lambda mp: lu_tsai_period(2, 0, 1), ValueError, "a and k must be >= 1"),
-    (lambda mp: lu_tsai_period(2, 1, 0), ValueError, "a and k must be >= 1"),
+    (lambda mp: lu_tsai_period(2, 0, 1), ValueError, "a must be >= 1"),
+    (lambda mp: lu_tsai_period(2, 1, 0), ValueError, "k must be >= 1"),
     (lambda mp: (mp.setattr(seqcore, "_pascal_rows", _aperiodic_rows),
                  lu_tsai_period(2, 1, 1)),
      InconclusiveError, "no period <= 4 found for C(j,1) mod 2^1"),
+    # every integer parameter is an int: a bool or a float is refused, never read as a number
+    (lambda mp: term_exact(3, True), ValueError, "order must be an integer, got True"),
+    (lambda mp: exact_sequence(3.0, 5), ValueError, "order must be an integer, got 3.0"),
+    (lambda mp: term_exact(True, 3), ValueError, "j must be an integer, got True"),
+    (lambda mp: term_exact(5.5, 3), ValueError, "j must be an integer, got 5.5"),
+    (lambda mp: term_mod(True, 3, 5), ValueError, "j must be an integer, got True"),
+    (lambda mp: term_mod(2.0, 3, 5), ValueError, "j must be an integer, got 2.0"),
+    (lambda mp: exact_sequence(3, True), ValueError, "count must be an integer, got True"),
+    (lambda mp: exact_sequence(3, 2.5), ValueError, "count must be an integer, got 2.5"),
+    (lambda mp: seq_stream(3, 5, True), ValueError, "count must be an integer, got True"),
+    (lambda mp: seq_stream(3, 5, 4.0), ValueError, "count must be an integer, got 4.0"),
+    (lambda mp: term_exact_range(3, True), ValueError, "count must be an integer, got True"),
+    (lambda mp: term_exact_range(3, 4.0), ValueError, "count must be an integer, got 4.0"),
+    (lambda mp: term_exact_range(3, -5), ValueError, "count must be >= 0"),
+    (lambda mp: binom_mod(True, 1, 7), ValueError, "n must be an integer, got True"),
+    (lambda mp: binom_mod(5.0, 2, 7), ValueError, "n must be an integer, got 5.0"),
+    (lambda mp: binom_mod(5, True, 7), ValueError, "k must be an integer, got True"),
+    (lambda mp: binom_mod(5, 2.0, 7), ValueError, "k must be an integer, got 2.0"),
+    (lambda mp: hockey_stick_check(True, 2), ValueError, "j must be an integer, got True"),
+    (lambda mp: hockey_stick_check(2.0, 2), ValueError, "j must be an integer, got 2.0"),
+    (lambda mp: hockey_stick_check(2, True), ValueError, "k must be an integer, got True"),
+    (lambda mp: hockey_stick_check(2, 2.0), ValueError, "k must be an integer, got 2.0"),
+    (lambda mp: prime_binomial_residue(5, True), ValueError, "j must be an integer, got True"),
+    (lambda mp: prime_binomial_residue(5, 4.0), ValueError, "j must be an integer, got 4.0"),
+    (lambda mp: prime_binomial_residue(5.0, 4), InvalidPrimeError, "p must be an integer, got 5.0"),
+    (lambda mp: seq_stream(3, 5.0, 4), InvalidModulusError, "modulus must be an integer, got 5.0"),
+    (lambda mp: seq_stream(3, True, 4), InvalidModulusError, "modulus must be an integer, got True"),
+    (lambda mp: seq_stream(3, 1, 4), InvalidModulusError, "modulus must be >= 2"),
+    (lambda mp: lu_tsai_period(2, True, 1), ValueError, "a must be an integer, got True"),
+    (lambda mp: lu_tsai_period(2, 1.0, 1), ValueError, "a must be an integer, got 1.0"),
+    (lambda mp: lu_tsai_period(2, 1, True), ValueError, "k must be an integer, got True"),
+    (lambda mp: lu_tsai_period(2, 1, 1.0), ValueError, "k must be an integer, got 1.0"),
 ], ids=["term-exact", "term-mod", "window-budget", "window-bool", "window-float", "hockey-j",
-        "hockey-k", "residue-j", "lu-tsai-a", "lu-tsai-k", "lu-tsai-no-period"])
+        "hockey-k", "residue-j", "lu-tsai-a", "lu-tsai-k", "lu-tsai-no-period",
+        "order-bool", "order-float", "term-exact-bool", "term-exact-float", "term-mod-bool",
+        "term-mod-float", "exact-count-bool", "exact-count-float", "stream-count-bool",
+        "stream-count-float", "range-count-bool", "range-count-float", "range-count-negative",
+        "binom-n-bool", "binom-n-float", "binom-k-bool", "binom-k-float", "hockey-j-bool",
+        "hockey-j-float", "hockey-k-bool", "hockey-k-float", "residue-j-bool", "residue-j-float",
+        "residue-p-float", "modulus-float", "modulus-bool", "modulus-1", "lu-tsai-a-bool", "lu-tsai-a-float", "lu-tsai-k-bool", "lu-tsai-k-float"])
 def test_refusals(monkeypatch, call, error, message):
     with pytest.raises(error) as info:
         call(monkeypatch)
