@@ -9,7 +9,7 @@ dimensions give exactly -1, which is the full SWAP.
 """
 import time
 
-from swapnet import cycle_length, cycle_length_direct, predicted_cycle, scan, scan_csv, verify_swap
+from swapnet import cycle_length, cycle_length_direct, predicted_cycle, scan, verify_swap
 
 # The table of periods for small dimensions.
 entries = scan(9)
@@ -80,5 +80,8 @@ for d in range(2, 44):
 for kind in ("swap", "grouped", "identity", "other"):
     print(f"{kind:8s} ({len(census[kind]):2d} values of d <= 43): {census[kind]}")
 
-# CSV export of the same table.
-print(scan_csv(entries))
+# The same table as CSV, the rows `swapnet scan --max 9 --csv` prints.  The
+# library returns reports, not text: each caller formats them, as here.
+print("d,length")
+for e in entries:
+    print(f"{e.d},{e.length}")

@@ -16,7 +16,7 @@ import importlib
 _EXPORTS = {
     "cycles": (
         "CycleReport", "ScanFailure", "cycle_length", "cycle_length_direct",
-        "predicted_cycle", "scan", "scan_csv",
+        "predicted_cycle", "scan",
     ),
     "errors": (
         "FactoringError", "InconclusiveError", "InvalidModulusError", "InvalidPrimeError",

@@ -84,11 +84,21 @@ def cmd_seq(args) -> int:
     return 0
 
 
+def _report_doc(report) -> dict:
+    """The JSON object of one ``CycleReport``, as ``cycle --json`` and ``scan --json`` print it."""
+    doc = {"d": report.d, "length": report.length,
+           "factors": [{"pm": pm, "len": ln} for pm, ln in report.per_factor],
+           "shift": report.shift, "permutation": list(report.permutation), "method": report.method}
+    if report.conjecture_ok is not None:
+        doc["conjecture_ok"] = report.conjecture_ok
+    return doc
+
+
 def cmd_cycle(args) -> int:
     from . import cycles
     report = cycles.cycle_length(args.d, args.budget)
     if args.json:
-        _emit_json(report.to_dict())
+        _emit_json(_report_doc(report))
     else:
         print(f"length {report.length}")
         factors = ", ".join(f"{ln} (mod {pm})" for pm, ln in report.per_factor)
@@ -103,9 +113,13 @@ def cmd_scan(args) -> int:
     from . import cycles
     entries = cycles.scan(args.max, args.budget)
     if args.json:
-        _emit_json([e.to_dict() for e in entries])
+        _emit_json([_report_doc(e) if isinstance(e, cycles.CycleReport)
+                    else {"d": e.d, "inconclusive": True, "budget": e.budget, "reason": e.reason}
+                    for e in entries])
     elif args.csv:
-        sys.stdout.write(cycles.scan_csv(entries))
+        rows = (f"{e.d},{e.length if isinstance(e, cycles.CycleReport) else 'inconclusive'}"
+                for e in entries)
+        print("\n".join(["d,length", *rows]))
     else:
         for e in entries:
             if isinstance(e, cycles.CycleReport):
@@ -131,7 +145,10 @@ def cmd_swap(args) -> int:
             "gates": report.length,
         })
     else:
-        print(report.describe())
+        heads = {"swap": "SWAP: cyclic shift by -1", "identity": "IDENTITY: shift 0",
+                 "grouped": f"GROUPED: shift {report.shift}"}
+        head = heads.get(report.kind) or f"OTHER: permutation {list(report.permutation)}"
+        print(f"{head}, {report.length} gates")
     return 0
 
 
@@ -215,11 +232,9 @@ def cmd_closed_form(args) -> int:
     cf = genfun.closed_form(args.n)
     worst = genfun.max_deviation(cf, args.count, args.tol)
     if args.json:
-        doc = cf.to_dict()
-        doc["max_deviation"] = worst
-        doc["count"] = args.count
-        doc["tol"] = args.tol
-        _emit_json(doc)
+        _emit_json({"n": cf.order, "alphas": [[z.real, z.imag] for z in cf.alphas],
+                    "betas": [[z.real, z.imag] for z in cf.betas], "residual": cf.residual,
+                    "max_deviation": worst, "count": args.count, "tol": args.tol})
     else:
         print(f"n = {args.n}")
         for l, (a, b) in enumerate(zip(cf.alphas, cf.betas), start=1):

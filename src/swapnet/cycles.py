@@ -124,28 +124,6 @@ class CycleReport:
         grouped = f.is_prime_power and self.shift == self.d - self.d // f.factors[0][0]
         return "grouped" if grouped else "other"
 
-    def describe(self) -> str:
-        if self.kind == "swap":
-            return f"SWAP: cyclic shift by -1, {self.length} gates"
-        if self.kind == "identity":
-            return f"IDENTITY: shift 0, {self.length} gates"
-        if self.kind == "grouped":
-            return f"GROUPED: shift {self.shift}, {self.length} gates"
-        return f"OTHER: permutation {list(self.permutation)}, {self.length} gates"
-
-    def to_dict(self) -> dict:
-        out = {
-            "d": self.d,
-            "length": self.length,
-            "factors": [{"pm": pm, "len": ln} for pm, ln in self.per_factor],
-            "shift": self.shift,
-            "permutation": list(self.permutation),
-            "method": self.method,
-        }
-        if self.conjecture_ok is not None:
-            out["conjecture_ok"] = self.conjecture_ok
-        return out
-
 
 @dataclass(frozen=True)
 class ScanFailure:
@@ -154,9 +132,6 @@ class ScanFailure:
     d: int
     budget: int
     reason: str
-
-    def to_dict(self) -> dict:
-        return {"d": self.d, "inconclusive": True, "budget": self.budget, "reason": self.reason}
 
 
 def order_from_multiple(d: int, q: int, n: int, primes: list[int]) -> int:
@@ -252,8 +227,3 @@ def scan(max_n: int, budget: int | None = None) -> list[CycleReport | ScanFailur
             entries.append(ScanFailure(n, exc.steps, str(exc)))
     return entries
 
-
-def scan_csv(entries: list[CycleReport | ScanFailure]) -> str:
-    """Two-column table of dimension and period, one row per entry."""
-    rows = (f"{e.d},{e.length if isinstance(e, CycleReport) else 'inconclusive'}" for e in entries)
-    return "\n".join(["d,length", *rows]) + "\n"

@@ -162,14 +162,6 @@ class ClosedForm:
     betas: tuple[complex, ...]
     residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.order,
-            "alphas": [[z.real, z.imag] for z in self.alphas],
-            "betas": [[z.real, z.imag] for z in self.betas],
-            "residual": self.residual,
-        }
-
 
 def closed_form(n: int) -> ClosedForm:
     """Roots, weights, and the observed accuracy for order n.

@@ -72,9 +72,11 @@ class Circuit:
                 and np.array_equal(self.gates, other.gates))
 
 
-def _check_digits(digits) -> list:
-    """The digits as a list, each a Python or numpy integer; a float, str or bool raises ValueError."""
+def _check_digits(digits, n: int) -> list:
+    """Exactly n digits as a list, each a Python or numpy integer; else ValueError."""
     digits = list(digits)
+    if len(digits) != n:
+        raise ValueError(f"need {n} digits, got {len(digits)}")
     for v in digits:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"digit {v!r} is not an integer")
@@ -104,7 +106,8 @@ class LinearMapZd:
     matrix: np.ndarray
 
     def apply(self, exponents) -> tuple[int, ...]:
-        vec = np.array([int(v) for v in _check_digits(exponents)], dtype=object)  # Python ints: exact at any d
+        digits = _check_digits(exponents, self.matrix.shape[1])
+        vec = np.array([int(v) for v in digits], dtype=object)  # Python ints: exact at any d
         return tuple((self.matrix.astype(object) @ vec) % self.d)
 
     def permutation(self) -> tuple[int, ...] | None:
@@ -172,6 +175,7 @@ class TraceArray:
         return len(self.row0) - 2 * self.d + 1
 
     def column(self, t: int) -> tuple[int, ...]:
+        _check_int("t", t)
         if not self.t_start <= t <= self.t_end:
             raise IndexError(f"column {t} outside {self.t_start}..{self.t_end}")
         k = t + 2 * (self.d - 1)
@@ -179,6 +183,7 @@ class TraceArray:
 
     def row(self, i: int) -> list[int]:
         """Coefficient sequence of initial digit i across all columns."""
+        _check_int("i", i)
         if not 0 <= i < self.d:
             raise IndexError(f"row {i} outside 0..{self.d - 1}")
         return self.row0[self.d - 1 - i:len(self.row0) - i].tolist()
@@ -192,11 +197,8 @@ class TraceArray:
         are refused past TRACE_LIMIT, so d^2 <= TRACE_LIMIT and int64 holds d^3.
         """
         _check_trace_rows(self.d, self.t_end)
-        e = np.array(tuple(exponents) if exponents is not None else (1,) * self.d, dtype=object)
-        if e.shape != (self.d,):
-            raise ValueError(f"need {self.d} digits, got shape {e.shape}")
-        _check_digits(e)
-        digits = (e % self.d).astype(np.int64)
+        e = _check_digits(exponents if exponents is not None else (1,) * self.d, self.d)
+        digits = np.array([int(v) % self.d for v in e], dtype=np.int64)
         return (np.convolve(self.row0.astype(np.int64), digits, "valid") % self.d).tolist()
 
     def linear_map(self) -> LinearMapZd:
@@ -260,8 +262,8 @@ class StateVector:
             if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"digit string {digits!r} is not ASCII digits")
             digits = [int(ch) for ch in digits]
-        digits = _check_digits(digits)
-        if len(digits) != n or any(not 0 <= x < d for x in digits):
+        digits = _check_digits(digits, n)
+        if any(not 0 <= x < d for x in digits):
             raise ValueError(f"need {n} digits in [0, {d})")
         amps = np.zeros(d ** n, dtype=np.complex128)
         amps[np.ravel_multi_index(digits, (d,) * n)] = 1.0
@@ -293,6 +295,7 @@ class StateVector:
 
 def random_qudit(d: int, rng) -> np.ndarray:
     """One random unit vector in C^d drawn from the given generator."""
+    _check_int("d", d, 1)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
 

@@ -200,6 +200,7 @@ class TestSwap:
         assert out == "IDENTITY: shift 0, 4270560 gates\n"
 
     @pytest.mark.parametrize("d, line", [
+        ("8", "GROUPED: shift 4, 252 gates"),  # a cycle inside the limit prints the same way
         ("10", "OTHER: permutation [6, 7, 8, 9, 0, 1, 2, 3, 4, 5], 1736327236 gates"),
         ("3125", "GROUPED: shift 2500, 6103515000 gates"),
     ])
@@ -436,7 +437,8 @@ class TestClosedForm:
         doc = json.loads(out)
         assert code == 0
         assert doc["max_deviation"] < 1e-6
-        assert len(doc["alphas"]) == 8
+        assert doc["n"] == 8 and len(doc["alphas"]) == len(doc["betas"]) == 8
+        assert all(len(pair) == 2 for pair in doc["alphas"] + doc["betas"])
 
     @pytest.mark.parametrize("tol, want", [("nan", 2), ("-1", 2), ("0", 1), ("1e-6", 0)])
     def test_tol_is_a_number_at_least_zero(self, capsys, tol, want):

@@ -1,6 +1,5 @@
 """Tests for period detection, composition, and induced shifts."""
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -19,7 +18,6 @@ from swapnet.cycles import (
     cycle_length_direct,
     predicted_cycle,
     scan,
-    scan_csv,
 )
 from swapnet.factor import Factorization, _check_prime
 from swapnet.seqcore import seq_stream
@@ -341,10 +339,6 @@ class TestScan:
         assert kinds[6] is ScanFailure
         assert all(isinstance(e, (CycleReport, ScanFailure)) for e in entries)
 
-    def test_csv(self):
-        text = scan_csv(scan(4))
-        assert text == "d,length\n2,3\n3,8\n4,30\n"
-
 
 class TestDefaultBudget:
     """SWAPNET_BUDGET, the one default cap for every d (``env_budget``)."""
@@ -367,19 +361,6 @@ class TestDefaultBudget:
         for d in (6, 9):  # read for prime powers as for composites
             with pytest.raises(ValueError, match="SWAPNET_BUDGET"):
                 cycle_length(d)
-
-
-def test_report_json_schema():
-    report = cycle_length(6)
-    doc = json.loads(json.dumps(report.to_dict()))
-    assert doc == {
-        "d": 6,
-        "length": 6552,
-        "factors": [{"pm": 2, "len": 63}, {"pm": 3, "len": 728}],
-        "shift": 0,
-        "permutation": [0, 1, 2, 3, 4, 5],
-        "method": "composed",
-    }
 
 
 def _no_brute_force(*args):

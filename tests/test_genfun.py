@@ -243,12 +243,6 @@ class TestClosedForm:
         with pytest.raises(NumericError, match=msg):
             closed_form(2)
 
-    def test_to_dict_shape(self):
-        doc = closed_form(3).to_dict()
-        assert doc["n"] == 3
-        assert len(doc["alphas"]) == len(doc["betas"]) == 3
-        assert all(len(pair) == 2 for pair in doc["alphas"])
-
 
 class TestEvalClosed:
     def test_examples(self):

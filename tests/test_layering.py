@@ -8,6 +8,8 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "swapnet"
 TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
 FACTORING = {"Factorization", "_passes_miller_rabin", "_rho_split", "_check_prime",
              "TRIAL_LIMIT", "MR_BASES", "MR_LIMIT", "RHO_STEPS"}
+OUTPUT = {"print", "json.dumps", "sys.stdout"}
+RENDERERS = {"to_dict", "describe", "scan_csv"}
 
 
 def _module_level(tree):
@@ -54,6 +56,19 @@ def _defined(tree):
     return names
 
 
+def _output_routes(tree):
+    """Which of print, json.dumps and sys.stdout one module names, imported by name or not."""
+    routes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            routes.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            routes.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("json", "sys"):
+            routes.update(f"{node.module}.{a.name}" for a in node.names)
+    return routes & OUTPUT
+
+
 def _imported_names(tree):
     return {a.asname or a.name for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) for a in node.names}
@@ -92,6 +107,15 @@ def test_only_errors_defines_the_integer_rule():
         assert "_check_order" not in _defined(tree), name
         if name != "errors":
             assert "_check_int" not in _defined(tree), name
+
+
+def test_only_cli_formats_output():
+    # the library returns data; each verb's text, CSV and JSON are written next to it in cli
+    assert {"print", "json.dumps"} <= _output_routes(TREES["cli"])
+    for name, tree in TREES.items():
+        if name != "cli":
+            assert not _output_routes(tree), (name, _output_routes(tree))
+        assert not RENDERERS & _defined(tree), (name, RENDERERS & _defined(tree))
 
 
 def test_seqcore_holds_no_factoring():
