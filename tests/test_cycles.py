@@ -1,5 +1,6 @@
 """Tests for period detection, composition, and induced shifts."""
 import dataclasses
+import json
 import logging
 import math
 import os
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapnet import cycles, factor, ring
+from swapnet.cli import main
 from swapnet.errors import FactoringError, InconclusiveError, InvalidPrimeError, VerificationError
 from swapnet.cycles import (
     CycleReport,
@@ -339,6 +341,10 @@ class TestScan:
         assert kinds[6] is ScanFailure
         assert all(isinstance(e, (CycleReport, ScanFailure)) for e in entries)
 
+    def test_csv(self, capsys):
+        assert main(["scan", "--max", "4", "--csv"]) == 0
+        assert capsys.readouterr().out == "d,length\n2,3\n3,8\n4,30\n"
+
 
 class TestDefaultBudget:
     """SWAPNET_BUDGET, the one default cap for every d (``env_budget``)."""
@@ -361,6 +367,19 @@ class TestDefaultBudget:
         for d in (6, 9):  # read for prime powers as for composites
             with pytest.raises(ValueError, match="SWAPNET_BUDGET"):
                 cycle_length(d)
+
+
+def test_report_json_schema(capsys):
+    assert main(["cycle", "--d", "6", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "d": 6,
+        "length": 6552,
+        "factors": [{"pm": 2, "len": 63}, {"pm": 3, "len": 728}],
+        "shift": 0,
+        "permutation": [0, 1, 2, 3, 4, 5],
+        "method": "composed",
+    }
 
 
 def _no_brute_force(*args):

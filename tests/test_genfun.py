@@ -1,4 +1,5 @@
 """Tests for root finding and the partial-fraction evaluation."""
+import json
 import math
 import os
 import tracemalloc
@@ -242,6 +243,13 @@ class TestClosedForm:
         monkeypatch.setattr(genfun, "find_roots", lambda n: [complex(r) for r in roots])
         with pytest.raises(NumericError, match=msg):
             closed_form(2)
+
+    def test_to_dict_shape(self, capsys):
+        assert cli.main(["closed-form", "--n", "3", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n"] == 3
+        assert len(doc["alphas"]) == len(doc["betas"]) == 3
+        assert all(len(pair) == 2 for pair in doc["alphas"])
 
 
 class TestEvalClosed:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapnet import network
+from swapnet.cli import main
 from swapnet.errors import InconclusiveError, SizeBudgetError, SwapnetError
 from swapnet.factor import Factorization
 from swapnet.cycles import CycleReport, cycle_length, cycle_length_direct
@@ -756,6 +757,17 @@ class TestVerifySwap:
         report = verify_swap(d)
         assert type(report) is CycleReport and report == cycle_length(d)
         assert pickle.loads(pickle.dumps(report)) == report and report.gate_count == report.length
+
+    @pytest.mark.parametrize("d, text", [
+        (3, "SWAP: cyclic shift by -1, 8 gates"),
+        (8, "GROUPED: shift 4, 252 gates"),
+        (6, "IDENTITY: shift 0, 6552 gates"),
+        (10, "OTHER: permutation [6, 7, 8, 9, 0, 1, 2, 3, 4, 5], 1736327236 gates"),
+    ])
+    def test_describe_each_kind(self, capsys, d, text):
+        # the swap verb's text line names each kind of full cycle
+        assert main(["swap", "--d", str(d)]) == 0
+        assert capsys.readouterr().out == text + "\n"
 
     def test_budget_is_passed_on(self):
         assert verify_swap(8, 252) == cycle_length(8)
