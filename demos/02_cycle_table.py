@@ -38,8 +38,9 @@ for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]:
 # 1/(1 - z - z^d).  cycle_length finds it mod p first: for d = p^m the
 # reciprocal y^(p^m) + y - 1 of the modulus gives x^(p^(2m) - 1) = 1, so
 # p^(2m) - 1 is a multiple of the order, and each of its primes r is
-# stripped while x^(n/r) = 1, by repeated squaring.  Only the lift runs mod
-# p^m: from ord_p * p^(m-1) it strips p alone.  N is not used to find the
+# stripped while x^(n/r) = 1, by repeated squaring.  The lift to mod p^m is
+# one power mod p^2: when x^ord_p is not 1 mod p^2, the order mod p^m is
+# ord_p * p^(m-1), and nothing runs mod p^m.  N is not used to find the
 # period; the certified period is only compared with it (conjecture_ok).
 start = time.perf_counter()
 big = cycle_length(3125)
@@ -52,7 +53,7 @@ print(f"d=3125: period {big.length} certified in {elapsed:.1f} s ({big.method})"
 # distinct-degree factorisation into g_k (the product of its degree-k
 # irreducible factors), where the order of x divides p^k - 1.  So the order
 # mod q divides p^(e-1) times the LCM of p^k - 1 over the degrees k, and the
-# same stripping finds it.  Brute force would need 1.6e8 window steps for
+# same stripping and lift find it.  Brute force would need 1.6e8 window steps for
 # d = 14 mod 7 alone.
 for d in (14, 22):
     start = time.perf_counter()

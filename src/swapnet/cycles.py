@@ -2,21 +2,40 @@
 
 The period mod q is the order of x in R_q = Z_q[x]/(f), f = x^d - x^(d-1) - 1,
 since the generating function is 1/(1 - z - z^d); the periods mod the prime
-powers p^e | d combine by LCM.  Each takes two steps of one routine,
-``order_from_multiple``, which strips every prime r of a known multiple n of
-the order while x^(n/r) = 1.  Mod p, f is squarefree (f' = x^(d-2),
-f(0) = -1), so R_p is a product of fields F_(p^k) and the order ord_p
-divides n = lcm(p^k - 1) over one list of degrees k: those of f's factors,
-from the distinct-degree factorisation, or [2m] for d = p^m, where the
-reciprocal y^(p^m) + y - 1 of f gives y^(p^(2m)) = y, so x^(p^(2m)-1) = 1.
-The kernel 1 + pR of R_(p^e) -> R_p has exponent p^(e-1), so the order
-mod p^e is ord_p * p^j with j < e (the form Wall proved for
-Fibonacci, 1960), and stripping p alone from ord_p * p^(e-1) finds it.  For
-d = p^m the period is checked against N = p^(m-1) * (p^(2m) - 1), proven for
-prime d.  A multiple not factored into proven primes is inconclusive, naming
-the cofactor.  Brute force (the window's first return to all ones after d-1
-zeros) is only the oracle (``cycle_length_direct``).  The period mod d is the
-shift by which a network of that many gates cycles its systems.
+powers p^e | d combine by LCM.  Each is the order mod p, then a lift mod p^e.
+The order mod p comes from ``order_from_multiple``, which strips every prime
+r of a known multiple n of the order while x^(n/r) = 1.  Mod p, f is
+squarefree (f' = x^(d-2), f(0) = -1), so R_p is a product of fields F_(p^k)
+and the order ord_p divides n = lcm(p^k - 1) over one list of degrees k:
+those of f's factors, from the distinct-degree factorisation, or [2m] for
+d = p^m, where the reciprocal y^(p^m) + y - 1 of f gives y^(p^(2m)) = y, so
+x^(p^(2m)-1) = 1.
+
+The lift.  The kernel 1 + pR of R_(p^e) -> R_p has exponent p^(e-1), so the
+order mod p^e is ord_p * p^j with j < e (the form Wall proved for Fibonacci,
+1960), and x^(ord_p * p^(e-1)) = 1 needs no check.  One power mod p^2 (mod 8
+for p = 2) decides j.  Write y = x^ord_p = 1 + p^s w, w != 0 mod p:
+
+- Odd p, s >= 1: y^p = 1 + p^(s+1) w' with w' = w mod p, since each binomial
+  term past the second has a factor p^(2s+1) or p^(ps), so p^(s+2).  So
+  y^(p^(e-2)) = 1 + p^(s+e-2) w'', which is 1 mod p^e iff s >= 2.  The test
+  z = x^ord_p mod p^2 is y mod p^2: z != 1 means s = 1, and j = e - 1.
+- p = 2: the step needs s >= 2, which y^2 = 1 + 4 (u + u^2) always has
+  (y = 1 + 2u).  So the test is z = x^(2 ord_2) mod 8, y^2 mod 8: z != 1
+  gives y^(2^(e-2)) = (y^2)^(2^(e-3)) != 1 mod 2^e for e >= 3, and j = e - 1.
+- e = 2 needs nothing more.  For odd p the test modulus is q itself.  For
+  p = 2, y = 1 mod 4 would make y^2 = 1 mod 8, so z != 1 gives y != 1 mod 4.
+- Otherwise (z = 1: s >= 2, or y^2 = 1 mod 8), which no d has shown, the lift
+  falls back to stripping p alone from ord_p * p^(e-1) mod p^e, with
+  ``order_from_multiple``, and logs a warning.
+
+z reduced mod p (mod 4 for p = 2) is 1 by the order mod p; a z that is not
+raises VerificationError.  For d = p^m the period is checked against
+N = p^(m-1) * (p^(2m) - 1), proven for prime d.  A multiple not factored into
+proven primes is inconclusive, naming the cofactor.  Brute force (the
+window's first return to all ones after d-1 zeros) is only the oracle
+(``cycle_length_direct``).  The period mod d is the shift by which a network
+of that many gates cycles its systems.
 """
 from __future__ import annotations
 
@@ -140,6 +159,7 @@ def order_from_multiple(d: int, q: int, n: int, primes: list[int]) -> int:
     VerificationError when x^n != 1, so n is no multiple; otherwise each
     prime r is removed from n while x^(n/r) = 1.
     """
+    _check_int("n", n, 1)
     if not ring.is_one(ring.x_power(n, d, q)):
         raise VerificationError(f"x^{n} != 1 mod {q} (order {d}): not a multiple of the order")
     for r in primes:
@@ -148,15 +168,29 @@ def order_from_multiple(d: int, q: int, n: int, primes: list[int]) -> int:
     return n
 
 
+def _lifts_fully(d: int, p: int, order: int) -> bool:
+    """Whether the order of x mod p^e, e >= 2, is ``order`` * p^(e-1), given the order mod p.
+
+    One power (module docstring): z = x^order mod p^2, or x^(2 order)
+    mod 8 for p = 2, and the lift is full iff z != 1.
+    """
+    q, n = (p * p, order) if p > 2 else (8, 2 * order)
+    z = ring.x_power(n, d, q)
+    if not ring.is_one(z % (q // p)):
+        raise VerificationError(f"x^{n} != 1 mod {q // p} (order {d}): {order} is not the order mod {p}")
+    return not ring.is_one(z)
+
+
 def ring_order(d: int, p: int, e: int) -> int:
     """Order of x in Z_(p^e)[x]/(x^d - x^(d-1) - 1), for a prime p | d.
 
     The order mod p from n = lcm(p^k - 1) over a list of degrees k: [2e]
     if d = p^e, else those of ``ring.distinct_degree`` (each p^k - 1 is
     factored on its own, FactoringError on an unproven cofactor), then
-    lifted mod p^e.
+    lifted mod p^e by one power mod p^2 (mod 8 for p = 2).
     """
     _check_prime(p)
+    _check_int("e", e, 1)
     # every p^k - 1 > 1: f(1) = -1, so x - 1 never divides f
     degrees = [2 * e] if d == p ** e else list(ring.distinct_degree(d, p))
     n = math.lcm(*(p ** k - 1 for k in degrees))
@@ -164,7 +198,12 @@ def ring_order(d: int, p: int, e: int) -> int:
     q, order = p, order_from_multiple(d, p, n, primes)
     if e > 1:  # the lift
         q, n = p ** e, order * p ** (e - 1)
-        order = order_from_multiple(d, q, n, [p])
+        if _lifts_fully(d, p, order):
+            order = n
+        else:
+            order = order_from_multiple(d, q, n, [p])
+            log.warning("d=%d, p=%d, e=%d: the lift test gave z = 1; "
+                        "stripping p mod p^e gave the order %d", d, p, e, order)
     log.debug("d=%d, mod %d: order %d of x, from the multiple %d", d, q, order, n)
     return order
 

@@ -57,7 +57,7 @@ import functools
 
 import numpy as np
 
-from .errors import VerificationError
+from .errors import VerificationError, _check_int
 
 # measured crossover (2-vCPU x86_64, numpy 2.4): a one-limb squaring at d = 192 took
 # 39.7 us by np.convolve and 45.4 us by FFT, at d = 208 47.9 and 44.1 us; L limbs
@@ -129,7 +129,8 @@ def square(a: np.ndarray, d: int, q: int) -> np.ndarray:
 
 
 def x_power(n: int, d: int, q: int) -> np.ndarray:
-    """x^n in R_q by square-and-multiply; a multiply by x is one shift."""
+    """x^n in R_q, n >= 0, by square-and-multiply; a multiply by x is one shift."""
+    _check_int("n", n, 0)
     low_bits = 0
     while n >> low_bits >= d:
         low_bits += 1

@@ -147,10 +147,16 @@ class TestCheckPrime:
     (lambda: predicted_cycle(True, 1), InvalidPrimeError, "p must be an integer, got True"),
     (lambda: cycle_length(True), ValueError, "order must be an integer, got True"),
     (lambda: cycle_length(6.0), ValueError, "order must be an integer, got 6.0"),
+    (lambda: cycles.order_from_multiple(6, 2, 0, [2]), ValueError, "n must be >= 1"),
+    (lambda: cycles.order_from_multiple(6, 2, True, [2]), ValueError, "n must be an integer, got True"),
+    (lambda: cycles.ring_order(6, 2, 0), ValueError, "e must be >= 1"),
+    (lambda: cycles.ring_order(6, 2, -1), ValueError, "e must be >= 1"),
+    (lambda: cycles.ring_order(8, 2, True), ValueError, "e must be an integer, got True"),
 ], ids=["predicted-m0", "predicted-m-1", "predicted-float", "predicted-bool", "budget-bool",
         "budget-float", "direct-bool", "direct-float", "scan-bool", "scan-float",
         "factor-1", "factor-neg", "factor-bool", "factor-float", "predicted-p-float", "predicted-p-bool",
-        "order-bool", "order-float"])
+        "order-bool", "order-float", "multiple-0", "multiple-bool", "ring-order-e0", "ring-order-e-1",
+        "ring-order-bool"])
 def test_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -750,3 +756,71 @@ class TestPrimePowerSweep:
     @pytest.mark.parametrize("d", PRIME_POWERS)
     def test_every_prime_power_to_20000(self, monkeypatch, d):
         self._assert_predicted(monkeypatch, d)
+
+
+class TestLift:
+    """The order mod p^e from one power mod p^2 (mod 8 for p = 2), checked against the p-strip."""
+
+    @staticmethod
+    def _assert_matches_the_p_strip(monkeypatch, d, p, e):
+        # the oracle strips p from order * p^(e-1) at full width, mod p^e, given the
+        # order mod p that ring_order hands to the lift test
+        seen = []
+        test = cycles._lifts_fully
+
+        def spy(d, p, order):
+            seen.append(order)
+            return test(d, p, order)
+
+        monkeypatch.setattr(cycles, "_lifts_fully", spy)
+        got = cycles.ring_order(d, p, e)
+        [order] = seen
+        assert got == cycles.order_from_multiple(d, p ** e, order * p ** (e - 1), [p])
+
+    @pytest.mark.parametrize("d", [d for d in PRIME_POWERS if d <= 1100])
+    def test_prime_powers_match_the_p_strip(self, monkeypatch, d):
+        p, m = Factorization.of(d).factors[0]
+        self._assert_matches_the_p_strip(monkeypatch, d, p, m)
+
+    @pytest.mark.parametrize("d,p,e", LIFTS)
+    def test_composite_lifts_match_the_p_strip(self, monkeypatch, d, p, e):
+        self._assert_matches_the_p_strip(monkeypatch, d, p, e)
+
+    @pytest.mark.skipif(not os.environ.get("SWAPNET_LONG"),
+                        reason="set SWAPNET_LONG=1 for every p^m up to 20000")
+    @pytest.mark.parametrize("d", PRIME_POWERS)
+    def test_prime_powers_match_the_p_strip_long(self, monkeypatch, d):
+        p, m = Factorization.of(d).factors[0]
+        self._assert_matches_the_p_strip(monkeypatch, d, p, m)
+
+    @pytest.mark.parametrize("d", [8, 9, 12, 25, 343])
+    def test_fallback_keeps_the_order(self, monkeypatch, caplog, d):
+        # a test reporting z = 1 (s >= 2, which no d has shown) leaves the lift to the p-strip
+        p, e = Factorization.of(d).factors[0]
+        want = cycles.ring_order(d, p, e)
+        monkeypatch.setattr(cycles, "_lifts_fully", lambda d, p, order: False)
+        with caplog.at_level(logging.WARNING, logger="swapnet.cycles"):
+            assert cycles.ring_order(d, p, e) == want
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.args == (d, p, e, want)
+        assert f"d={d}, p={p}, e={e}" in record.getMessage() and str(want) in record.getMessage()
+
+    def test_one_power_mod_p_squared(self, monkeypatch):
+        moduli = []
+        true_power = ring.x_power
+
+        def counting(n, d, q):
+            moduli.append(q)
+            return true_power(n, d, q)
+
+        monkeypatch.setattr(ring, "x_power", counting)
+        assert cycle_length(343).length == predicted_cycle(7, 3)
+        assert moduli.count(49) == 1 and set(moduli) == {7, 49}  # none mod 343
+
+    def test_power_not_one_mod_p_raises(self):
+        # x^1 = x is not 1 mod 3: 1 is not the order mod 3, and the test says so
+        with pytest.raises(VerificationError, match="x\\^1 != 1 mod 3 \\(order 9\\)"):
+            cycles._lifts_fully(9, 3, 1)
+        with pytest.raises(VerificationError, match="x\\^2 != 1 mod 4 \\(order 8\\)"):
+            cycles._lifts_fully(8, 2, 1)

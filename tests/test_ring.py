@@ -206,6 +206,14 @@ class TestXPower:
                 stream = seq_stream(d, q, 200)
                 assert [int(ring.x_power(j, d, q).sum() % q) for j in range(200)] == stream
 
+    @pytest.mark.parametrize("n,message", [(-1, "n must be >= 0"), (True, "n must be an integer, got True"),
+                                           (2.0, "n must be an integer, got 2.0")])
+    def test_refuses_a_bad_exponent(self, n, message):
+        # a negative index would wrap to x^(d + n)
+        with pytest.raises(ValueError) as info:
+            ring.x_power(n, 3, 3)
+        assert str(info.value) == message
+
     def test_dtype_switches_to_exact_ints(self):
         assert ring.x_power(10, 4, 10 ** 9).dtype == np.int64
         q = 2 ** 32 + 15  # 4 * (q-1)^2 passes 2^63
